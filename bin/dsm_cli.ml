@@ -6,6 +6,10 @@
      dune exec bin/dsm_cli.exe -- jacobi --protocol hbrc_mw --size 64
      dune exec bin/dsm_cli.exe -- coloring --protocol java_ic --nodes 2
 
+   Applications run through the workload table (Dsmpm2_apps.Catalog): the
+   tsp, jacobi and coloring subcommands are generated from their entries,
+   and analyze, watch and top look the workload up there.
+
    Every subcommand accepts the observability flags:
 
      --trace-out FILE     Chrome trace_event JSON (chrome://tracing, Perfetto)
@@ -24,8 +28,23 @@ open Cmdliner
 open Dsmpm2_sim
 open Dsmpm2_core
 open Dsmpm2_experiments
+module Catalog = Dsmpm2_apps.Catalog
 
 let ppf = Format.std_formatter
+
+(* Prints "<cmd>: <message>" and exits 2: the verdict for a request the
+   command cannot serve. *)
+let fail cmd fmt = Format.kfprintf (fun _ -> exit 2) ppf ("%s: " ^^ fmt ^^ "@.") cmd
+
+let lookup cmd find known name =
+  match find name with
+  | Some x -> x
+  | None ->
+      fail cmd "unknown workload %S (known: %s)" name (String.concat ", " known)
+
+let workload_names = List.map (fun (e : Catalog.entry) -> e.name) Catalog.all
+let find_workload cmd = lookup cmd Catalog.find workload_names
+let known_workloads = String.concat ", " workload_names
 
 let driver_conv =
   let parse s =
@@ -50,44 +69,36 @@ let driver_arg =
 let nodes_arg =
   Arg.(value & opt int 4 & info [ "nodes" ] ~docv:"N" ~doc:"Cluster size.")
 
-let protocol_arg default =
+(* The workloads that declare parameter [name], for flag docs. *)
+let declaring name =
+  List.filter_map
+    (fun (e : Catalog.entry) ->
+      if List.exists (fun (p : Catalog.param) -> p.name = name) e.params then Some e.name
+      else None)
+    Catalog.all
+  |> String.concat ", "
+
+let seed_arg =
   Arg.(
-    value & opt string default
-    & info [ "protocol" ] ~docv:"PROTO" ~doc:"Consistency protocol name.")
+    value
+    & opt (some int) None
+    & info [ "seed" ] ~docv:"SEED"
+        ~doc:
+          ("Engine tie seed, and the data seed of workloads that have one ("
+          ^ declaring "seed"
+          ^ ").  Absent, the workload's defaults apply and ties are not \
+             perturbed."))
 
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+let file_arg name ~doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
 
-(* --- observability flags, shared by every subcommand --- *)
+(* --- observer configuration, shared by every subcommand --- *)
 
-type obs = {
-  trace_out : string option;
-  trace_jsonl : string option;
-  trace_cap : int option;
-  trace_dump : string option;
-  sample_pct : float option;
-  sample_seed : int;
-  metrics_out : string option;
-  metrics_prom : string option;
-  report : bool;
-  health : bool;
-}
-
-let obs_term =
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Write the event trace as Chrome trace_event JSON to $(docv).")
-  in
-  let trace_jsonl =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-jsonl" ] ~docv:"FILE"
-          ~doc:"Write the event trace as JSON Lines (one event per line) to $(docv).")
-  in
-  let trace_cap =
+(* --trace-cap, --sample-pct and --sample-seed: how a run stores its
+   trace.  Each subcommand adds the monitor, telemetry and watchdog it
+   needs. *)
+let observe_term =
+  let ring_cap =
     Arg.(
       value
       & opt (some int) None
@@ -96,15 +107,6 @@ let obs_term =
             "Flight-recorder mode: keep only the newest $(docv) trace events \
              in a bounded ring (evictions are counted, the schedule is \
              unchanged).")
-  in
-  let trace_dump =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-dump" ] ~docv:"FILE"
-          ~doc:
-            "Auto-dump the trace ring as JSONL to $(docv) the first time a \
-             critical alert is recorded (a .gz suffix gzip-compresses).")
   in
   let sample_pct =
     Arg.(
@@ -125,19 +127,41 @@ let obs_term =
             "Seed for $(b,--sample-pct) keep decisions (same seed, same \
              spans kept).")
   in
+  Term.(
+    const (fun ring_cap sample_pct sample_seed ->
+        { Observe.off with ring_cap; sample_pct; sample_seed })
+    $ ring_cap $ sample_pct $ sample_seed)
+
+type obs = {
+  observe : Observe.config;
+  trace_out : string option;
+  trace_jsonl : string option;
+  trace_dump : string option;
+  metrics_out : string option;
+  metrics_prom : string option;
+  report : bool;
+}
+
+let obs_term =
+  let trace_out =
+    file_arg "trace-out" ~doc:"Write the event trace as Chrome trace_event JSON to $(docv)."
+  in
+  let trace_jsonl =
+    file_arg "trace-jsonl"
+      ~doc:"Write the event trace as JSON Lines (one event per line) to $(docv)."
+  in
+  let trace_dump =
+    file_arg "trace-dump"
+      ~doc:
+        "Auto-dump the trace ring as JSONL to $(docv) the first time a \
+         critical alert is recorded (a .gz suffix gzip-compresses)."
+  in
   let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write a JSON metrics snapshot to $(docv).")
+    file_arg "metrics-out" ~doc:"Write a JSON metrics snapshot to $(docv)."
   in
   let metrics_prom =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-prom" ] ~docv:"FILE"
-          ~doc:"Write the metrics registry in Prometheus text exposition format to $(docv).")
+    file_arg "metrics-prom"
+      ~doc:"Write the metrics registry in Prometheus text exposition format to $(docv)."
   in
   let report =
     Arg.(
@@ -154,26 +178,23 @@ let obs_term =
   in
   Term.(
     const
-      (fun trace_out trace_jsonl trace_cap trace_dump sample_pct sample_seed
-           metrics_out metrics_prom report health ->
+      (fun observe trace_out trace_jsonl trace_dump metrics_out metrics_prom
+           report health ->
+        let monitor =
+          trace_out <> None || trace_jsonl <> None || trace_dump <> None || report
+        in
+        let watchdog = if health then Some Watchdog.default_config else None in
         {
+          observe = { observe with Observe.monitor; watchdog };
           trace_out;
           trace_jsonl;
-          trace_cap;
           trace_dump;
-          sample_pct;
-          sample_seed;
           metrics_out;
           metrics_prom;
           report;
-          health;
         })
-    $ trace_out $ trace_jsonl $ trace_cap $ trace_dump $ sample_pct
-    $ sample_seed $ metrics_out $ metrics_prom $ report $ health)
-
-let obs_wants_monitor o =
-  o.trace_out <> None || o.trace_jsonl <> None || o.trace_cap <> None
-  || o.trace_dump <> None || o.sample_pct <> None || o.report || o.health
+    $ observe_term $ trace_out $ trace_jsonl $ trace_dump $ metrics_out
+    $ metrics_prom $ report $ health)
 
 let to_formatter file f =
   let oc = open_out file in
@@ -184,54 +205,35 @@ let to_formatter file f =
       f fmt;
       Format.pp_print_flush fmt ())
 
-(* Export hook for the application subcommands: enables the monitor before
-   the run via the app's [observe] hook and dumps everything afterwards. *)
-let app_observe obs =
-  let captured = ref None in
-  let watchdog = ref None in
-  let observe dsm =
-    captured := Some dsm;
-    if obs_wants_monitor obs then Monitor.enable dsm true;
-    let tr = Monitor.trace dsm in
-    Option.iter (Trace.set_capacity tr) obs.trace_cap;
-    Option.iter (Trace.set_autodump tr) obs.trace_dump;
-    Option.iter
-      (fun pct -> Trace.set_sampling tr ~seed:obs.sample_seed ~keep_pct:pct)
-      obs.sample_pct;
-    if obs.health then watchdog := Some (Watchdog.attach dsm)
-  in
-  let export ~name ?protocol () =
-    match !captured with
-    | None -> ()
-    | Some dsm ->
-        let tr = Monitor.trace dsm in
-        Option.iter (fun file -> to_formatter file (fun fmt -> Trace.to_chrome fmt tr))
-          obs.trace_out;
-        Option.iter (fun file -> Trace.save_jsonl file tr) obs.trace_jsonl;
-        Option.iter
-          (fun file ->
-            let meta = Monitor.run_meta ?protocol ~case:name dsm in
-            Json.to_file file (Monitor.to_json ~experiment:name ~meta dsm))
-          obs.metrics_out;
-        Option.iter
-          (fun file -> to_formatter file (fun fmt -> Monitor.to_prometheus fmt dsm))
-          obs.metrics_prom;
-        if obs.report then Monitor.report ppf dsm;
-        Option.iter (fun w -> Format.fprintf ppf "%a@." Watchdog.pp_summary w) !watchdog;
-        if Trace.autodump_fired tr then
-          Format.fprintf ppf
-            "flight recorder: critical alert — dumped trace ring to %s@."
-            (Option.value ~default:"?" (Trace.autodump_path tr))
-  in
-  (observe, export)
+(* Dumps everything the observability flags asked for after an
+   application run. *)
+let export obs ~name ~protocol dsm watchdog =
+  let tr = Monitor.trace dsm in
+  Option.iter (fun file -> to_formatter file (fun fmt -> Trace.to_chrome fmt tr))
+    obs.trace_out;
+  Option.iter (fun file -> Trace.save_jsonl file tr) obs.trace_jsonl;
+  Option.iter
+    (fun file ->
+      let meta = Monitor.run_meta ~protocol ~case:name dsm in
+      Json.to_file file (Monitor.to_json ~experiment:name ~meta dsm))
+    obs.metrics_out;
+  Option.iter
+    (fun file -> to_formatter file (fun fmt -> Monitor.to_prometheus fmt dsm))
+    obs.metrics_prom;
+  if obs.report then Monitor.report ppf dsm;
+  Option.iter (fun w -> Format.fprintf ppf "%a@." Watchdog.pp_summary w) watchdog;
+  if Trace.autodump_fired tr then
+    Format.fprintf ppf
+      "flight recorder: critical alert — dumped trace ring to %s@."
+      (Option.value ~default:"?" (Trace.autodump_path tr))
 
 (* The table/figure experiments run many simulations internally, so there is
    no single trace to export; --metrics-out and --report operate on the
    result table instead. *)
 let experiment_obs obs ~name json =
-  if obs.trace_out <> None || obs.trace_jsonl <> None || obs.trace_cap <> None
-     || obs.trace_dump <> None || obs.sample_pct <> None
-     || obs.metrics_prom <> None || obs.health
+  if obs.trace_out <> None || obs.trace_jsonl <> None || obs.trace_dump <> None
+     || obs.observe.ring_cap <> None || obs.observe.sample_pct <> None
+     || obs.metrics_prom <> None || obs.observe.watchdog <> None
   then
     Format.fprintf ppf
       "%s: --trace-out/--trace-jsonl/--trace-cap/--trace-dump/--metrics-prom/\
@@ -241,223 +243,173 @@ let experiment_obs obs ~name json =
   Option.iter (fun file -> Json.to_file file json) obs.metrics_out;
   if obs.report then Format.fprintf ppf "%a@." Json.pp json
 
-let experiment name doc f =
-  let run obs = experiment_obs obs ~name (f ()) in
+(* Each table/figure experiment runs once, prints its table and exports
+   the table's JSON. *)
+let experiment name doc run print to_json =
+  let run obs =
+    let t = run () in
+    print ppf t;
+    experiment_obs obs ~name (to_json t)
+  in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ obs_term)
-
-let tsp_cmd =
-  let run protocol nodes driver seed cities balance obs =
-    let observe, export = app_observe obs in
-    let r =
-      Dsmpm2_apps.Tsp.run
-        {
-          Dsmpm2_apps.Tsp.default with
-          protocol;
-          nodes;
-          driver;
-          seed;
-          cities;
-          balance;
-          observe = Some observe;
-        }
-    in
-    Format.fprintf ppf
-      "tsp: protocol=%s nodes=%d cities=%d time=%.1fms best=%d expansions=%d \
-       migrations=%d balancer_moves=%d faults=%d messages=%d workers=[%s]@."
-      protocol nodes cities r.Dsmpm2_apps.Tsp.time_ms r.Dsmpm2_apps.Tsp.best
-      r.Dsmpm2_apps.Tsp.expansions r.Dsmpm2_apps.Tsp.migrations
-      r.Dsmpm2_apps.Tsp.balancer_moves
-      (r.Dsmpm2_apps.Tsp.read_faults + r.Dsmpm2_apps.Tsp.write_faults)
-      r.Dsmpm2_apps.Tsp.messages
-      (String.concat ";" (List.map string_of_int r.Dsmpm2_apps.Tsp.final_node_of_thread));
-    export ~name:"tsp" ~protocol ()
-  in
-  let cities =
-    Arg.(value & opt int 14 & info [ "cities" ] ~docv:"N" ~doc:"Number of cities.")
-  in
-  let balance =
-    Arg.(value & flag & info [ "balance" ] ~doc:"Run the PM2 load balancer.")
-  in
-  Cmd.v
-    (Cmd.info "tsp" ~doc:"Run the TSP branch-and-bound application.")
-    Term.(
-      const run $ protocol_arg "li_hudak" $ nodes_arg $ driver_arg $ seed_arg $ cities
-      $ balance $ obs_term)
-
-let jacobi_cmd =
-  let run protocol nodes driver size iterations obs =
-    let observe, export = app_observe obs in
-    let r =
-      Dsmpm2_apps.Jacobi.run
-        {
-          Dsmpm2_apps.Jacobi.default with
-          protocol;
-          nodes;
-          driver;
-          size;
-          iterations;
-          observe = Some observe;
-        }
-    in
-    let reference = Dsmpm2_apps.Jacobi.checksum_sequential ~size ~iterations in
-    Format.fprintf ppf
-      "jacobi: protocol=%s nodes=%d size=%d iters=%d time=%.1fms checksum=%s \
-       faults=%d pages=%d diff_bytes=%d@."
-      protocol nodes size iterations r.Dsmpm2_apps.Jacobi.time_ms
-      (if r.Dsmpm2_apps.Jacobi.checksum = reference then "OK" else "WRONG")
-      (r.Dsmpm2_apps.Jacobi.read_faults + r.Dsmpm2_apps.Jacobi.write_faults)
-      r.Dsmpm2_apps.Jacobi.pages_transferred r.Dsmpm2_apps.Jacobi.diff_bytes;
-    export ~name:"jacobi" ~protocol ()
-  in
-  let size = Arg.(value & opt int 48 & info [ "size" ] ~docv:"N" ~doc:"Grid side.") in
-  let iters =
-    Arg.(value & opt int 8 & info [ "iterations" ] ~docv:"N" ~doc:"Sweeps.")
-  in
-  Cmd.v
-    (Cmd.info "jacobi" ~doc:"Run the Jacobi relaxation kernel.")
-    Term.(
-      const run $ protocol_arg "hbrc_mw" $ nodes_arg $ driver_arg $ size $ iters
-      $ obs_term)
-
-let coloring_cmd =
-  let run protocol nodes driver obs =
-    let observe, export = app_observe obs in
-    let r =
-      Dsmpm2_apps.Map_coloring.run
-        {
-          Dsmpm2_apps.Map_coloring.default with
-          protocol;
-          nodes;
-          driver;
-          observe = Some observe;
-        }
-    in
-    Format.fprintf ppf
-      "coloring: protocol=%s nodes=%d time=%.1fms cost=%d gets=%d checks=%d faults=%d@."
-      protocol nodes r.Dsmpm2_apps.Map_coloring.time_ms
-      r.Dsmpm2_apps.Map_coloring.best_cost r.Dsmpm2_apps.Map_coloring.gets
-      r.Dsmpm2_apps.Map_coloring.inline_checks
-      (r.Dsmpm2_apps.Map_coloring.read_faults + r.Dsmpm2_apps.Map_coloring.write_faults);
-    export ~name:"coloring" ~protocol ()
-  in
-  Cmd.v
-    (Cmd.info "coloring" ~doc:"Run the Hyperion-style map-colouring application.")
-    Term.(const run $ protocol_arg "java_pf" $ nodes_arg $ driver_arg $ obs_term)
 
 let experiments =
   [
-    experiment "micro" "PM2 micro-benchmarks (paper section 2.1)." (fun () ->
-        let t = Micro.run () in
-        Micro.print ppf t;
-        Micro.to_json t);
-    experiment "table2" "Protocol inventory (paper Table 2)." (fun () ->
-        let t = Table2_inventory.run () in
-        Table2_inventory.print ppf t;
-        Table2_inventory.to_json t);
-    experiment "table3" "Read-fault breakdown, page transfer (paper Table 3)." (fun () ->
-        let t = Fault_cost.run Fault_cost.Page_transfer in
-        Fault_cost.print ppf t;
-        Fault_cost.to_json t);
+    experiment "micro" "PM2 micro-benchmarks (paper section 2.1)." Micro.run
+      Micro.print Micro.to_json;
+    experiment "table2" "Protocol inventory (paper Table 2)." Table2_inventory.run
+      Table2_inventory.print Table2_inventory.to_json;
+    experiment "table3" "Read-fault breakdown, page transfer (paper Table 3)."
+      (fun () -> Fault_cost.run Fault_cost.Page_transfer)
+      Fault_cost.print Fault_cost.to_json;
     experiment "table4" "Read-fault breakdown, thread migration (paper Table 4)."
-      (fun () ->
-        let t = Fault_cost.run Fault_cost.Thread_migration in
-        Fault_cost.print ppf t;
-        Fault_cost.to_json t);
-    experiment "fig4" "TSP protocol comparison (paper Figure 4)." (fun () ->
-        let t = Fig4_tsp.run () in
-        Fig4_tsp.print ppf t;
-        Fig4_tsp.to_json t);
-    experiment "fig5" "Java consistency comparison (paper Figure 5)." (fun () ->
-        let t = Fig5_coloring.run () in
-        Fig5_coloring.print ppf t;
-        Fig5_coloring.to_json t);
-    experiment "splash" "SPLASH-style kernel study (paper section 5)." (fun () ->
-        let t = Splash.run () in
-        Splash.print ppf t;
-        Splash.to_json t);
-    experiment "ablation" "Stack-size and sync-frequency ablations." (fun () ->
-        let t = Ablation.run () in
-        Ablation.print ppf t;
-        Ablation.to_json t);
-    experiment "litmus" "Memory-model litmus tests across all protocols." (fun () ->
-        let t = Litmus.run () in
-        Litmus.print ppf t;
-        Litmus.to_json t);
-    experiment "patterns" "Sharing-pattern study across all protocols." (fun () ->
-        let t = Sharing_patterns.run () in
-        Sharing_patterns.print ppf t;
-        Sharing_patterns.to_json t);
+      (fun () -> Fault_cost.run Fault_cost.Thread_migration)
+      Fault_cost.print Fault_cost.to_json;
+    experiment "fig4" "TSP protocol comparison (paper Figure 4)."
+      (fun () -> Fig4_tsp.run ()) Fig4_tsp.print Fig4_tsp.to_json;
+    experiment "fig5" "Java consistency comparison (paper Figure 5)."
+      (fun () -> Fig5_coloring.run ()) Fig5_coloring.print Fig5_coloring.to_json;
+    experiment "splash" "SPLASH-style kernel study (paper section 5)." Splash.run
+      Splash.print Splash.to_json;
+    experiment "ablation" "Stack-size and sync-frequency ablations." Ablation.run
+      Ablation.print Ablation.to_json;
+    experiment "litmus" "Memory-model litmus tests across all protocols." Litmus.run
+      Litmus.print Litmus.to_json;
+    experiment "patterns" "Sharing-pattern study across all protocols."
+      Sharing_patterns.run Sharing_patterns.print Sharing_patterns.to_json;
   ]
+
+(* --- running a workload from the table --- *)
+
+(* Where and how a workload runs: the flags every workload subcommand
+   shares, plus the table parameters given explicitly. *)
+type setup = {
+  protocol : string option;
+  nodes : int;
+  driver : Dsmpm2_net.Driver.t;
+  seed : int option;
+  given : Catalog.params;
+}
+
+(* A flag per table parameter; [absent] defaults to the entry's default. *)
+let param_arg ?absent (p : Catalog.param) =
+  match p.default with
+  | Catalog.Int d ->
+      let absent = Option.value absent ~default:(string_of_int d) in
+      Term.(
+        const (Option.map (fun v -> (p.name, Catalog.Int v)))
+        $ Arg.(value & opt (some int) None & info [ p.name ] ~docv:"N" ~absent ~doc:p.doc))
+  | Catalog.Flag _ ->
+      Term.(
+        const (fun b -> if b then Some (p.name, Catalog.Flag true) else None)
+        $ Arg.(value & flag & info [ p.name ] ~doc:p.doc))
+
+let setup_term ?protocol_absent
+    ?(protocol_doc = "Consistency protocol (default: the workload's own default).")
+    params =
+  let protocol =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "protocol" ] ~docv:"PROTO" ?absent:protocol_absent ~doc:protocol_doc)
+  in
+  let given =
+    List.fold_right
+      (fun arg acc -> Term.(const (fun p l -> Option.to_list p @ l) $ arg $ acc))
+      params (Term.const [])
+  in
+  Term.(
+    const (fun protocol nodes driver seed given ->
+        { protocol; nodes; driver; seed; given })
+    $ protocol $ nodes_arg $ driver_arg $ seed_arg $ given)
+
+type run = {
+  outcome : Catalog.outcome option;  (** [None]: the run deadlocked *)
+  dsm : Dsm.t;
+  watchdog : Watchdog.t option;
+  protocol : string;
+}
+
+(* The one place the CLI runs an application.  [on_attach] sees the
+   runtime and its watchdog after [config] is attached, before any thread
+   starts. *)
+let run_workload ~cmd ?(on_attach = fun _ _ -> ()) (entry : Catalog.entry) s
+    config =
+  let params =
+    match Catalog.resolve entry ~nodes:s.nodes ?seed:s.seed s.given with
+    | Ok p -> p
+    | Error msg -> fail cmd "%s" msg
+  in
+  let protocol = Option.value s.protocol ~default:entry.protocol in
+  let attached = ref None in
+  let observe dsm =
+    let w = Observe.attach config dsm in
+    attached := Some (dsm, w);
+    on_attach dsm w
+  in
+  let outcome =
+    match
+      entry.run ~nodes:s.nodes ~driver:s.driver ~protocol ~seed:s.seed
+        ~observe:(Some observe) params
+    with
+    | o -> Some o
+    | exception Engine.Stalled live ->
+        Format.fprintf ppf "%s: run deadlocked with %d live fiber(s)@." cmd live;
+        None
+  in
+  let dsm, watchdog = Option.get !attached in
+  { outcome; dsm; watchdog; protocol }
+
+(* tsp, jacobi and coloring: one subcommand per table entry, with a flag
+   per parameter (the data seed rides on --seed). *)
+let app_cmd (entry : Catalog.entry) =
+  let run s obs =
+    let on_attach dsm _ =
+      Option.iter (Trace.set_autodump (Monitor.trace dsm)) obs.trace_dump
+    in
+    let r = run_workload ~cmd:entry.name ~on_attach entry s obs.observe in
+    Option.iter
+      (fun o -> Format.fprintf ppf "%s@." (Lazy.force o.Catalog.summary))
+      r.outcome;
+    export obs ~name:entry.name ~protocol:r.protocol r.dsm r.watchdog;
+    if r.outcome = None then exit 1
+  in
+  let params =
+    List.filter_map
+      (fun (p : Catalog.param) -> if p.name = "seed" then None else Some (param_arg p))
+      entry.params
+  in
+  Cmd.v
+    (Cmd.info entry.name ~doc:entry.doc)
+    Term.(
+      const run
+      $ setup_term ~protocol_absent:entry.protocol
+          ~protocol_doc:"Consistency protocol name." params
+      $ obs_term)
+
+let app_cmds =
+  List.map (fun w -> app_cmd (Option.get (Catalog.find w))) [ "tsp"; "jacobi"; "coloring" ]
 
 (* --- dsm analyze: the post-mortem trace analyzer --- *)
 
 let analyze_cmd =
-  let run workload trace_jsonl protocol nodes driver seed top out folded_file =
-    let live_trace w =
-      (* Run the application with monitoring on and analyze its live trace. *)
-      let captured = ref None in
-      let observe dsm =
-        captured := Some dsm;
-        Monitor.enable dsm true
-      in
-      let proto default = Option.value ~default protocol in
-      (match w with
-      | "tsp" ->
-          ignore
-            (Dsmpm2_apps.Tsp.run
-               {
-                 Dsmpm2_apps.Tsp.default with
-                 protocol = proto "li_hudak";
-                 nodes;
-                 driver;
-                 seed;
-                 observe = Some observe;
-               })
-      | "jacobi" ->
-          ignore
-            (Dsmpm2_apps.Jacobi.run
-               {
-                 Dsmpm2_apps.Jacobi.default with
-                 protocol = proto "hbrc_mw";
-                 nodes;
-                 driver;
-                 observe = Some observe;
-               })
-      | "coloring" ->
-          ignore
-            (Dsmpm2_apps.Map_coloring.run
-               {
-                 Dsmpm2_apps.Map_coloring.default with
-                 protocol = proto "java_pf";
-                 nodes;
-                 driver;
-                 observe = Some observe;
-               })
-      | w ->
-          Format.fprintf ppf
-            "analyze: unknown workload %S (known: tsp, jacobi, coloring)@." w;
-          exit 2);
-      match !captured with
-      | Some dsm ->
-          (Monitor.trace dsm, Some (Monitor.run_meta ?protocol ~case:w dsm))
-      | None ->
-          Format.fprintf ppf "analyze: %s did not expose its runtime@." w;
-          exit 2
-    in
+  let run workload trace_jsonl s observe top out folded_file =
     let trace, meta =
       match (trace_jsonl, workload) with
       | Some file, _ -> (
           (* A dump re-loaded from disk carries no identity metadata. *)
           match Trace.load_jsonl file with
           | Ok t -> (t, None)
-          | Error msg ->
-              Format.fprintf ppf "analyze: %s@." msg;
-              exit 2)
-      | None, Some w -> live_trace w
+          | Error msg -> fail "analyze" "%s" msg)
+      | None, Some w ->
+          let r =
+            run_workload ~cmd:"analyze" (find_workload "analyze" w) s
+              { observe with Observe.monitor = true }
+          in
+          ( Monitor.trace r.dsm,
+            Some (Monitor.run_meta ~protocol:r.protocol ~case:w r.dsm) )
       | None, None ->
-          Format.fprintf ppf
-            "analyze: give a workload (tsp, jacobi, coloring) or --trace-jsonl FILE@.";
-          exit 2
+          fail "analyze" "give a workload (%s) or --trace-jsonl FILE" known_workloads
     in
     let a = Analyze.analyze ~top trace in
     Analyze.report ppf a;
@@ -471,39 +423,20 @@ let analyze_cmd =
       value
       & pos 0 (some string) None
       & info [] ~docv:"WORKLOAD"
-          ~doc:"Application to run and analyze live: tsp, jacobi or coloring.")
+          ~doc:("Application to run and analyze live: " ^ known_workloads ^ "."))
   in
   let trace_jsonl =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-jsonl" ] ~docv:"FILE"
-          ~doc:"Analyze a previously exported JSONL trace instead of running.")
-  in
-  let protocol =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "protocol" ] ~docv:"PROTO"
-          ~doc:"Consistency protocol (default: the workload's own default).")
+    file_arg "trace-jsonl"
+      ~doc:"Analyze a previously exported JSONL trace instead of running."
   in
   let top =
     Arg.(
       value & opt int 5
       & info [ "top" ] ~docv:"K" ~doc:"How many slowest fault spans to detail.")
   in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the analysis as stable JSON to $(docv).")
-  in
+  let out = file_arg "out" ~doc:"Write the analysis as stable JSON to $(docv)." in
   let folded_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "folded" ] ~docv:"FILE"
-          ~doc:"Write folded-stack lines (flamegraph.pl input) to $(docv).")
+    file_arg "folded" ~doc:"Write folded-stack lines (flamegraph.pl input) to $(docv)."
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -511,8 +444,8 @@ let analyze_cmd =
          "Post-mortem trace analysis: fault critical paths, per-page sharing \
           patterns, lock/barrier contention, protocol advice.")
     Term.(
-      const run $ workload $ trace_jsonl $ protocol $ nodes_arg $ driver_arg
-      $ seed_arg $ top $ out $ folded_file)
+      const run $ workload $ trace_jsonl $ setup_term [] $ observe_term
+      $ top $ out $ folded_file)
 
 let check_cmd =
   let run seeds protocols workload replay verbose faults loss crashes explain
@@ -523,14 +456,12 @@ let check_cmd =
     let workload_list =
       match workload with
       | None -> Conformance.workloads
-      | Some w -> (
-          match Conformance.workload_by_name w with
-          | Some w -> [ w ]
-          | None ->
-              Format.fprintf ppf "check: unknown workload %S (known: %s)@." w
-                (String.concat ", "
-                   (List.map Conformance.workload_name Conformance.workloads));
-              exit 2)
+      | Some w ->
+          [
+            lookup "check" Conformance.workload_by_name
+              (List.map Conformance.workload_name Conformance.workloads)
+              w;
+          ]
     in
     if faults then begin
       (* The same grid under seeded crash/loss schedules.  With
@@ -762,101 +693,73 @@ let check_cmd =
       const run $ seeds $ protocols $ workload $ replay $ verbose $ faults
       $ loss $ crashes $ explain $ expect_vulnerable $ obs_term)
 
-(* --- dsm watch: live health dashboard over a running application --- *)
+
+(* --- dsm watch and dsm top: a workload under the live watchdog ---
+
+   Both run the workload with the watchdog attached, print a frame on each
+   of its schedule-neutral sampling ticks (repainting in place on a
+   terminal, one frame per tick when piped), then the end-of-run summary,
+   and exit 1 on a critical alert.  They differ only in the frame and in
+   the --out payload: `dsm watch` shows health (rates, audits, alerts) and
+   writes the health report; `dsm top` shows the memory (the online
+   telemetry engine's cluster fault-latency sketch percentiles,
+   per-protocol and per-node fault counts, and the hottest pages with
+   their streaming sharing classification and protocol advice) and writes
+   the telemetry snapshot.  Telemetry reads the trace observer stream, so
+   it stays exact under --trace-cap rings and --sample-pct sampling. *)
+
+let live ~cmd ~frame ?last ~payload workload s observe watchdog out quiet =
+  let tty = Unix.isatty Unix.stdout in
+  let clear () = if tty then Format.fprintf ppf "\027[H\027[2J" in
+  let on_attach _ w =
+    if not quiet then
+      Option.iter
+        (fun w ->
+          Watchdog.set_on_sample w (fun sample ->
+              clear ();
+              Format.fprintf ppf "%a@." frame (w, sample)))
+        w
+  in
+  let r =
+    run_workload ~cmd ~on_attach (find_workload cmd workload) s
+      { observe with Observe.watchdog = Some watchdog }
+  in
+  let w = Option.get r.watchdog in
+  Option.iter
+    (fun last ->
+      if not quiet then clear ();
+      Format.fprintf ppf "%a@." last w)
+    last;
+  Format.fprintf ppf "%a@." Watchdog.pp_summary w;
+  Option.iter (fun file -> Json.to_file file (payload w)) out;
+  let _, _, critical = Watchdog.alert_counts w in
+  if critical > 0 then exit 1
+
+let live_workload_arg ~doc =
+  Arg.(
+    value & opt string "jacobi"
+    & info [ "workload" ] ~docv:"NAME" ~doc:(doc ^ ": " ^ known_workloads ^ "."))
+
+let interval_arg ~doc =
+  Arg.(
+    value
+    & opt float (Time.to_us Watchdog.default_config.Watchdog.interval)
+    & info [ "interval" ] ~docv:"US" ~doc)
+
+let quiet_arg ~doc = Arg.(value & flag & info [ "quiet" ] ~doc)
 
 let watch_cmd =
-  let run workload protocol nodes driver seed interval_us stall_us out quiet =
-    let tty = Unix.isatty Unix.stdout in
-    let wd = ref None in
-    let observe dsm =
-      Monitor.enable dsm true;
-      let config =
-        Watchdog.
-          {
-            default_config with
-            interval = Time.of_us interval_us;
-            stall = Time.of_us stall_us;
-          }
-      in
-      let w = Watchdog.attach ~config dsm in
-      wd := Some w;
-      if not quiet then
-        Watchdog.set_on_sample w (fun s ->
-            (* On a terminal each frame repaints in place; piped output gets
-               one frame per sample. *)
-            if tty then Format.fprintf ppf "\027[H\027[2J";
-            Format.fprintf ppf "%a@." Watchdog.pp_sample (w, s))
+  let run workload s observe interval_us stall_us out quiet =
+    let watchdog =
+      Watchdog.
+        {
+          default_config with
+          interval = Time.of_us interval_us;
+          stall = Time.of_us stall_us;
+        }
     in
-    let proto default = Option.value ~default protocol in
-    let run_app () =
-      match workload with
-      | "tsp" ->
-          ignore
-            (Dsmpm2_apps.Tsp.run
-               {
-                 Dsmpm2_apps.Tsp.default with
-                 protocol = proto "li_hudak";
-                 nodes;
-                 driver;
-                 seed;
-                 observe = Some observe;
-               })
-      | "jacobi" ->
-          ignore
-            (Dsmpm2_apps.Jacobi.run
-               {
-                 Dsmpm2_apps.Jacobi.default with
-                 protocol = proto "hbrc_mw";
-                 nodes;
-                 driver;
-                 observe = Some observe;
-               })
-      | "coloring" ->
-          ignore
-            (Dsmpm2_apps.Map_coloring.run
-               {
-                 Dsmpm2_apps.Map_coloring.default with
-                 protocol = proto "java_pf";
-                 nodes;
-                 driver;
-                 observe = Some observe;
-               })
-      | w ->
-          Format.fprintf ppf "watch: unknown workload %S (known: tsp, jacobi, coloring)@." w;
-          exit 2
-    in
-    (try run_app ()
-     with Engine.Stalled live ->
-       Format.fprintf ppf "watch: run deadlocked with %d live fiber(s)@." live);
-    match !wd with
-    | None ->
-        Format.fprintf ppf "watch: %s did not expose its runtime@." workload;
-        exit 2
-    | Some w ->
-        Format.fprintf ppf "%a@." Watchdog.pp_summary w;
-        Option.iter (fun file -> Json.to_file file (Watchdog.health_json w)) out;
-        let _, _, critical = Watchdog.alert_counts w in
-        if critical > 0 then exit 1
-  in
-  let workload =
-    Arg.(
-      value & opt string "jacobi"
-      & info [ "workload" ] ~docv:"NAME"
-          ~doc:"Application to watch: tsp, jacobi or coloring.")
-  in
-  let protocol =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "protocol" ] ~docv:"PROTO"
-          ~doc:"Consistency protocol (default: the workload's own default).")
-  in
-  let interval =
-    Arg.(
-      value
-      & opt float (Time.to_us Watchdog.default_config.Watchdog.interval)
-      & info [ "interval" ] ~docv:"US"
-          ~doc:"Sampling period in simulated microseconds.")
+    live ~cmd:"watch" ~frame:Watchdog.pp_sample ~payload:Watchdog.health_json
+      workload s observe watchdog out quiet
   in
   let stall_us =
     Arg.(
@@ -865,18 +768,6 @@ let watch_cmd =
       & info [ "stall-us" ] ~docv:"US"
           ~doc:"Report threads blocked longer than $(docv) simulated microseconds.")
   in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the stable JSON health report to $(docv).")
-  in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "quiet" ] ~doc:"Skip the live dashboard; print only the final summary.")
-  in
   Cmd.v
     (Cmd.info "watch"
        ~doc:
@@ -884,169 +775,41 @@ let watch_cmd =
           audits, deadlock/stall detection, thrash detection and a \
           refreshing rate dashboard.  Exits non-zero on critical alerts.")
     Term.(
-      const run $ workload $ protocol $ nodes_arg $ driver_arg $ seed_arg $ interval
-      $ stall_us $ out $ quiet)
-
-(* --- dsm top: live hot-page telemetry over a running application ---
-
-   Where `dsm watch` shows health (rates, audits, alerts), `dsm top` shows
-   the memory: hierarchical rollups of the online telemetry engine —
-   cluster-wide fault-latency sketch percentiles, per-protocol and per-node
-   fault counts, and the hottest pages with their streaming sharing
-   classification and protocol advice.  Because telemetry reads the trace
-   observer stream, the dashboard stays exact under --trace-cap rings and
-   --sample-pct sampling. *)
+      const run
+      $ live_workload_arg ~doc:"Application to watch"
+      $ setup_term [] $ observe_term
+      $ interval_arg ~doc:"Sampling period in simulated microseconds."
+      $ stall_us
+      $ file_arg "out" ~doc:"Write the stable JSON health report to $(docv)."
+      $ quiet_arg ~doc:"Skip the live dashboard; print only the final summary.")
 
 let top_cmd =
-  let run workload protocol nodes driver seed size iterations interval_us
-      sample_pct sample_seed trace_cap top out quiet =
-    let tty = Unix.isatty Unix.stdout in
-    let wd = ref None in
-    let observe dsm =
-      Monitor.enable dsm true;
-      let tr = Monitor.trace dsm in
-      Option.iter (Trace.set_capacity tr) trace_cap;
-      Option.iter
-        (fun pct -> Trace.set_sampling tr ~seed:sample_seed ~keep_pct:pct)
-        sample_pct;
-      let config =
-        Watchdog.{ default_config with interval = Time.of_us interval_us }
-      in
-      let w = Watchdog.attach ~config dsm in
-      wd := Some w;
-      if not quiet then
-        Watchdog.set_on_sample w (fun _ ->
-            (* Frames ride the watchdog's schedule-neutral sampling tick. *)
-            if tty then Format.fprintf ppf "\027[H\027[2J";
-            Format.fprintf ppf "%a@." (Telemetry.pp_top ~top)
-              (Watchdog.telemetry w))
-    in
-    let proto default = Option.value ~default protocol in
-    let run_app () =
-      match workload with
-      | "tsp" ->
-          ignore
-            (Dsmpm2_apps.Tsp.run
-               {
-                 Dsmpm2_apps.Tsp.default with
-                 protocol = proto "li_hudak";
-                 nodes;
-                 driver;
-                 seed;
-                 observe = Some observe;
-               })
-      | "jacobi" ->
-          ignore
-            (Dsmpm2_apps.Jacobi.run
-               {
-                 Dsmpm2_apps.Jacobi.default with
-                 protocol = proto "hbrc_mw";
-                 nodes;
-                 driver;
-                 size;
-                 iterations;
-                 tie_seed = Some seed;
-                 observe = Some observe;
-               })
-      | "coloring" ->
-          ignore
-            (Dsmpm2_apps.Map_coloring.run
-               {
-                 Dsmpm2_apps.Map_coloring.default with
-                 protocol = proto "java_pf";
-                 nodes;
-                 driver;
-                 observe = Some observe;
-               })
-      | w ->
-          Format.fprintf ppf "top: unknown workload %S (known: tsp, jacobi, coloring)@." w;
-          exit 2
-    in
-    (try run_app ()
-     with Engine.Stalled live ->
-       Format.fprintf ppf "top: run deadlocked with %d live fiber(s)@." live);
-    match !wd with
-    | None ->
-        Format.fprintf ppf "top: %s did not expose its runtime@." workload;
-        exit 2
-    | Some w ->
-        let tele = Watchdog.telemetry w in
-        if tty && not quiet then Format.fprintf ppf "\027[H\027[2J";
-        Format.fprintf ppf "%a@." (Telemetry.pp_top ~top) tele;
-        Format.fprintf ppf "%a@." Watchdog.pp_summary w;
-        Option.iter (fun file -> Json.to_file file (Telemetry.to_json tele)) out;
-        let _, _, critical = Watchdog.alert_counts w in
-        if critical > 0 then exit 1
+  let run workload s observe interval_us top out quiet =
+    let telemetry fmt w = Telemetry.pp_top ~top fmt (Watchdog.telemetry w) in
+    live ~cmd:"top"
+      ~frame:(fun fmt (w, _) -> telemetry fmt w)
+      ~last:telemetry
+      ~payload:(fun w -> Telemetry.to_json (Watchdog.telemetry w))
+      workload s observe
+      { Watchdog.default_config with interval = Time.of_us interval_us }
+      out quiet
   in
-  let workload =
-    Arg.(
-      value & opt string "jacobi"
-      & info [ "workload" ] ~docv:"NAME"
-          ~doc:"Application to profile: tsp, jacobi or coloring.")
-  in
-  let protocol =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "protocol" ] ~docv:"PROTO"
-          ~doc:"Consistency protocol (default: the workload's own default).")
-  in
-  let size =
-    Arg.(
-      value & opt int 32
-      & info [ "size" ] ~docv:"N" ~doc:"Jacobi grid side (jacobi only).")
-  in
-  let iterations =
-    Arg.(
-      value & opt int 4
-      & info [ "iterations" ] ~docv:"N" ~doc:"Jacobi sweeps (jacobi only).")
-  in
-  let interval =
-    Arg.(
-      value
-      & opt float (Time.to_us Watchdog.default_config.Watchdog.interval)
-      & info [ "interval" ] ~docv:"US"
-          ~doc:"Refresh period in simulated microseconds.")
-  in
-  let sample_pct =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "sample-pct" ] ~docv:"PCT"
-          ~doc:
-            "Store only ~$(docv)% of fault spans in the trace (deterministic \
-             head-based sampling; the telemetry dashboard still sees every \
-             event).")
-  in
-  let sample_seed =
-    Arg.(
-      value & opt int 0
-      & info [ "sample-seed" ] ~docv:"SEED"
-          ~doc:"Seed for $(b,--sample-pct) keep decisions.")
-  in
-  let trace_cap =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "trace-cap" ] ~docv:"N"
-          ~doc:"Keep only the newest $(docv) trace events (flight recorder).")
+  (* Workload parameters top accepts; a workload that does not declare the
+     one given rejects the run. *)
+  let params =
+    List.map
+      (param_arg ~absent:"the workload's own")
+      [
+        { Catalog.name = "size"; doc = "Grid or matrix side (" ^ declaring "size" ^ ").";
+          default = Int 0 };
+        { name = "iterations"; doc = "Sweeps (" ^ declaring "iterations" ^ ").";
+          default = Int 0 };
+      ]
   in
   let top =
     Arg.(
       value & opt int 10
       & info [ "top" ] ~docv:"K" ~doc:"Hottest pages shown per frame.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the stable JSON telemetry snapshot to $(docv).")
-  in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "quiet" ] ~doc:"Skip the live frames; print only the final one.")
   in
   Cmd.v
     (Cmd.info "top"
@@ -1058,9 +821,13 @@ let top_cmd =
           under $(b,--trace-cap) and $(b,--sample-pct).  Exits non-zero on \
           critical alerts.")
     Term.(
-      const run $ workload $ protocol $ nodes_arg $ driver_arg $ seed_arg
-      $ size $ iterations $ interval $ sample_pct $ sample_seed $ trace_cap
-      $ top $ out $ quiet)
+      const run
+      $ live_workload_arg ~doc:"Application to profile"
+      $ setup_term params $ observe_term
+      $ interval_arg ~doc:"Refresh period in simulated microseconds."
+      $ top
+      $ file_arg "out" ~doc:"Write the stable JSON telemetry snapshot to $(docv)."
+      $ quiet_arg ~doc:"Skip the live frames; print only the final one.")
 
 (* --- dsm bench: the seeded macro-benchmark observatory --- *)
 
@@ -1070,10 +837,7 @@ let bench_cmd =
     let selected =
       Bench_suite.filter_cases ?filter ~quick (Bench_suite.cases ())
     in
-    if selected = [] then begin
-      Format.fprintf ppf "bench: no case matches the filter@.";
-      exit 2
-    end;
+    if selected = [] then fail "bench" "no case matches the filter";
     let progress cr =
       if not quiet then
         Format.fprintf ppf "bench: done %s (%d seeds)@."
@@ -1112,13 +876,10 @@ let bench_cmd =
       & info [ "quick" ] ~doc:"Run only the CI smoke subset of the matrix.")
   in
   let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the BENCH_macro.json snapshot to $(docv) (a .gz suffix \
-             gzip-compresses).")
+    file_arg "out"
+      ~doc:
+        "Write the BENCH_macro.json snapshot to $(docv) (a .gz suffix \
+         gzip-compresses)."
   in
   let quiet =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Skip per-case progress lines.")
@@ -1139,15 +900,11 @@ let diff_cmd =
     let load what path =
       match Rundiff.load_source path with
       | Ok s -> s
-      | Error msg ->
-          Format.fprintf ppf "diff: %s: %s@." what msg;
-          exit 2
+      | Error msg -> fail "diff" "%s: %s" what msg
     in
     let b = load "baseline" baseline and f = load "fresh" fresh in
     match Rundiff.diff ~threshold_pct:threshold ~force ~baseline:b ~fresh:f () with
-    | Error msg ->
-        Format.fprintf ppf "diff: %s@." msg;
-        exit 2
+    | Error msg -> fail "diff" "%s" msg
     | Ok d ->
         let render fmt =
           match format with
@@ -1200,12 +957,7 @@ let diff_cmd =
       & opt (enum [ ("text", `Text); ("json", `Json); ("markdown", `Markdown) ]) `Text
       & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text, json or markdown.")
   in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the report to $(docv) instead of stdout.")
-  in
+  let out = file_arg "out" ~doc:"Write the report to $(docv) instead of stdout." in
   Cmd.v
     (Cmd.info "diff"
        ~doc:
@@ -1221,9 +973,7 @@ let diff_cmd =
 let explain_cmd =
   let run file json_out dot_out =
     match Trace.load_jsonl file with
-    | Error msg ->
-        Format.fprintf ppf "explain: %s@." msg;
-        exit 2
+    | Error msg -> fail "explain" "%s" msg
     | Ok trace ->
         let xs = Explain.explain_trace trace in
         (match xs with
@@ -1253,20 +1003,13 @@ let explain_cmd =
              export or a flight-recorder auto-dump.")
   in
   let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the explanations as stable JSON to $(docv).")
+    file_arg "json" ~doc:"Write the explanations as stable JSON to $(docv)."
   in
   let dot_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dot" ] ~docv:"FILE"
-          ~doc:
-            "Write the first explanation's causal graph as Graphviz DOT to \
-             $(docv).")
+    file_arg "dot"
+      ~doc:
+        "Write the first explanation's causal graph as Graphviz DOT to \
+         $(docv)."
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1276,6 +1019,7 @@ let explain_cmd =
           windows, retry storms) that explain it.")
     Term.(const run $ file $ json_out $ dot_out)
 
+
 let () =
   let info =
     Cmd.info "dsm-cli" ~version:"1.0.0"
@@ -1284,6 +1028,6 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          (experiments
-          @ [ tsp_cmd; jacobi_cmd; coloring_cmd; analyze_cmd; check_cmd;
-              explain_cmd; watch_cmd; top_cmd; bench_cmd; diff_cmd ])))
+          (experiments @ app_cmds
+          @ [ analyze_cmd; check_cmd; explain_cmd; watch_cmd; top_cmd;
+              bench_cmd; diff_cmd ])))

@@ -40,6 +40,8 @@ type result = {
 }
 
 val run : config -> result
+(** @raise Invalid_argument when [nodes > size], which would leave nodes
+    without rows. *)
 
 val checksum_sequential : size:int -> iterations:int -> int
 (** The same relaxation computed sequentially: the correctness oracle. *)

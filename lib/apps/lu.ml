@@ -1,7 +1,6 @@
 open Dsmpm2_sim
 open Dsmpm2_net
 open Dsmpm2_core
-open Dsmpm2_protocols
 
 type config = {
   size : int;
@@ -60,17 +59,11 @@ let checksum_sequential ~size ~seed =
   Array.fold_left (fun acc row -> Array.fold_left ( + ) acc row) 0 a
 
 let run config =
+  Workloads.require_rows ~app:"Lu" ~nodes:config.nodes ~size:config.size;
   let size = config.size in
-  let dsm =
-    Dsm.create ?tie_seed:config.tie_seed ~nodes:config.nodes ~driver:config.driver ()
-  in
-  ignore (Builtin.register_all dsm);
-  ignore (Builtin.register_extras dsm);
-  (match config.observe with Some f -> f dsm | None -> ());
-  let proto =
-    match Dsm.protocol_by_name dsm config.protocol with
-    | Some p -> p
-    | None -> invalid_arg ("Lu.run: unknown protocol " ^ config.protocol)
+  let dsm, proto =
+    Workloads.runtime ~app:"Lu" ?tie_seed:config.tie_seed ~nodes:config.nodes
+      ~driver:config.driver ~observe:config.observe config.protocol
   in
   let a = Dsm.malloc dsm ~protocol:proto ~home:Dsm.Block (size * size * 8) in
   let addr i j = a + (((i * size) + j) * 8) in

@@ -38,4 +38,7 @@ type result = {
 }
 
 val run : config -> result
+(** @raise Invalid_argument when [nodes > size], which would leave nodes
+    without rows. *)
+
 val checksum_sequential : size:int -> seed:int -> int

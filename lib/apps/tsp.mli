@@ -55,6 +55,7 @@ type result = {
 }
 
 val run : config -> result
+(** @raise Invalid_argument when [cities < 2]. *)
 
 val distances : cities:int -> seed:int -> int array array
 (** The seeded random distance matrix (symmetric, 1..99), exposed for the

@@ -1,4 +1,5 @@
-(** Shared cost constants of the application workloads.
+(** What the application workloads share: their cost constants and the
+    runtime they start from.
 
     All simulated CPU costs of the example applications live here so the
     communication/computation ratios are set (and documented) in one place.
@@ -22,3 +23,23 @@ val matmul_inner_us : float
 val charge_batched : Dsmpm2_core.Dsm.t -> float -> int -> unit
 (** [charge_batched dsm unit_us n] accrues [n] work units lazily (see
     {!Dsmpm2_pm2.Marcel.charge}). *)
+
+val runtime :
+  app:string ->
+  ?tie_seed:int ->
+  nodes:int ->
+  driver:Dsmpm2_net.Driver.t ->
+  observe:(Dsmpm2_core.Dsm.t -> unit) option ->
+  string ->
+  Dsmpm2_core.Dsm.t * int
+(** The runtime every application starts from: [nodes] nodes with every
+    built-in and extra protocol registered, [observe] called before any
+    thread exists, and the named protocol's id.  Raises [Invalid_argument]
+    naming [app] on an unknown protocol. *)
+
+val idle_rows : nodes:int -> size:int -> string option
+(** Why a [size]-row block distribution over [nodes] would leave nodes
+    without rows, if it would. *)
+
+val require_rows : app:string -> nodes:int -> size:int -> unit
+(** Raises [Invalid_argument] naming [app] where {!idle_rows} objects. *)

@@ -1,78 +1,24 @@
 open Dsmpm2_apps
 
-type cell = {
-  kernel : string;
-  protocol : string;
-  time_ms : float;
-  correct : bool;
-  read_faults : int;
-  write_faults : int;
-  pages : int;
-  diff_bytes : int;
-}
+type cell = { kernel : string; protocol : string; outcome : Catalog.outcome }
 
 let protocols = [ "li_hudak"; "erc_sw"; "hbrc_mw"; "migrate_thread" ]
 
+(* Each kernel at its default size, on 4 nodes over BIP/Myrinet. *)
 let run () =
-  let jacobi_ref =
-    Jacobi.checksum_sequential ~size:Jacobi.default.Jacobi.size
-      ~iterations:Jacobi.default.Jacobi.iterations
-  in
-  let matmul_ref =
-    Matmul.checksum_sequential ~size:Matmul.default.Matmul.size
-      ~seed:Matmul.default.Matmul.seed
-  in
-  let lu_ref =
-    Lu.checksum_sequential ~size:Lu.default.Lu.size ~seed:Lu.default.Lu.seed
-  in
+  let nodes = 4 in
   List.concat_map
     (fun protocol ->
-      let j = Jacobi.run { Jacobi.default with Jacobi.protocol } in
-      let m = Matmul.run { Matmul.default with Matmul.protocol } in
-      let l = Lu.run { Lu.default with Lu.protocol } in
-      let s = Sort.run { Sort.default with Sort.protocol } in
-      [
-        {
-          kernel = "jacobi";
-          protocol;
-          time_ms = j.Jacobi.time_ms;
-          correct = j.Jacobi.checksum = jacobi_ref;
-          read_faults = j.Jacobi.read_faults;
-          write_faults = j.Jacobi.write_faults;
-          pages = j.Jacobi.pages_transferred;
-          diff_bytes = j.Jacobi.diff_bytes;
-        };
-        {
-          kernel = "matmul";
-          protocol;
-          time_ms = m.Matmul.time_ms;
-          correct = m.Matmul.checksum = matmul_ref;
-          read_faults = m.Matmul.read_faults;
-          write_faults = m.Matmul.write_faults;
-          pages = m.Matmul.pages_transferred;
-          diff_bytes = 0;
-        };
-        {
-          kernel = "lu";
-          protocol;
-          time_ms = l.Lu.time_ms;
-          correct = l.Lu.checksum = lu_ref;
-          read_faults = l.Lu.read_faults;
-          write_faults = l.Lu.write_faults;
-          pages = l.Lu.pages_transferred;
-          diff_bytes = 0;
-        };
-        {
-          kernel = "sort";
-          protocol;
-          time_ms = s.Sort.time_ms;
-          correct = s.Sort.sorted && s.Sort.correct;
-          read_faults = s.Sort.read_faults;
-          write_faults = s.Sort.write_faults;
-          pages = s.Sort.pages_transferred;
-          diff_bytes = 0;
-        };
-      ])
+      List.map
+        (fun kernel ->
+          let e = Option.get (Catalog.find kernel) in
+          let params = Result.get_ok (Catalog.resolve e ~nodes []) in
+          let outcome =
+            e.run ~nodes ~driver:Dsmpm2_net.Driver.bip_myrinet ~protocol ~seed:None
+              ~observe:None params
+          in
+          { kernel; protocol; outcome })
+        [ "jacobi"; "matmul"; "lu"; "sort" ])
     protocols
 
 let print ppf cells =
@@ -82,26 +28,25 @@ let print ppf cells =
   Format.fprintf ppf "%-8s %-16s %10s %8s %8s %8s %8s %10s@." "Kernel" "Protocol"
     "time(ms)" "correct" "rfaults" "wfaults" "pages" "diffbytes";
   List.iter
-    (fun c ->
-      Format.fprintf ppf "%-8s %-16s %10.1f %8b %8d %8d %8d %10d@." c.kernel
-        c.protocol c.time_ms c.correct c.read_faults c.write_faults c.pages
-        c.diff_bytes)
+    (fun { kernel; protocol; outcome = o } ->
+      Format.fprintf ppf "%-8s %-16s %10.1f %8b %8d %8d %8d %10d@." kernel protocol
+        o.time_ms (Lazy.force o.correct) o.read_faults o.write_faults o.pages o.diff_bytes)
     cells
 
 let to_json cells =
   let open Dsmpm2_sim in
   Json.List
     (List.map
-       (fun c ->
+       (fun { kernel; protocol; outcome = o } ->
          Json.Obj
            [
-             ("kernel", Json.String c.kernel);
-             ("protocol", Json.String c.protocol);
-             ("time_ms", Json.Float c.time_ms);
-             ("correct", Json.Bool c.correct);
-             ("read_faults", Json.Int c.read_faults);
-             ("write_faults", Json.Int c.write_faults);
-             ("pages", Json.Int c.pages);
-             ("diff_bytes", Json.Int c.diff_bytes);
+             ("kernel", Json.String kernel);
+             ("protocol", Json.String protocol);
+             ("time_ms", Json.Float o.time_ms);
+             ("correct", Json.Bool (Lazy.force o.correct));
+             ("read_faults", Json.Int o.read_faults);
+             ("write_faults", Json.Int o.write_faults);
+             ("pages", Json.Int o.pages);
+             ("diff_bytes", Json.Int o.diff_bytes);
            ])
        cells)

@@ -1,16 +1,12 @@
 (** The SPLASH-2-style extension study the paper's conclusion announces as
-    current work: regular kernels (Jacobi relaxation and blocked matrix
-    multiplication) compared across the four general-purpose protocols. *)
+    current work: regular kernels (Jacobi relaxation, blocked matrix
+    multiplication, LU elimination and odd-even sort) compared across the
+    four general-purpose protocols. *)
 
 type cell = {
   kernel : string;
   protocol : string;
-  time_ms : float;
-  correct : bool;
-  read_faults : int;
-  write_faults : int;
-  pages : int;
-  diff_bytes : int;
+  outcome : Dsmpm2_apps.Catalog.outcome;
 }
 
 val run : unit -> cell list

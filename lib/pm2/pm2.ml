@@ -12,6 +12,7 @@ type t = {
 }
 
 let create ?tie_seed ?jitter ?(page_size = 4096) ~nodes ~driver () =
+  if nodes < 1 then invalid_arg "Pm2.create: nodes must be at least 1";
   let eng = Engine.create ?tie_seed () in
   let marcel = Marcel.create eng ~nodes in
   let net = Network.create ?jitter eng ~driver ~nodes in

@@ -21,7 +21,8 @@ val create :
 (** Builds a fresh engine, [nodes] single-CPU nodes, a network using
     [driver], an RPC runtime and an iso-address allocator ([page_size]
     defaults to 4096, the paper's page size).  [tie_seed] turns on the
-    engine's schedule-perturbation mode (see {!Engine.create}). *)
+    engine's schedule-perturbation mode (see {!Engine.create}).
+    @raise Invalid_argument when [nodes < 1]. *)
 
 val engine : t -> Engine.t
 val marcel : t -> Marcel.t

@@ -94,7 +94,12 @@ let write_server rt ~node ~page ~requester =
 let flush_and_drop rt ~node (e : Page_table.entry) =
   let page = e.Page_table.page in
   (match Protocol_lib.diff_against_twin rt ~node e with
-  | Some diff -> Dsm_comm.call_diffs rt ~to_:e.Page_table.home ~diffs:[ diff ] ~release:false
+  | Some diff ->
+      (* The diff is taken; a local write landing during the round trip
+         would be dropped with the copy.  Read-only makes such a write
+         fault and wait on the entry mutex, then refetch. *)
+      e.Page_table.rights <- Access.Read_only;
+      Dsm_comm.call_diffs rt ~to_:e.Page_table.home ~diffs:[ diff ] ~release:false
   | None -> ());
   clear_dirty rt ~node ~page;
   Protocol_lib.drop_copy rt ~node ~page

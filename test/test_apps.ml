@@ -142,6 +142,112 @@ let test_matmul_matches_sequential () =
       Alcotest.(check int) (protocol ^ " checksum") reference r.Matmul.checksum)
     [ "li_hudak"; "erc_sw"; "hbrc_mw"; "migrate_thread" ]
 
+(* --- hbrc_mw: no write lost to an invalidation --- *)
+
+(* An invalidation used to flush the diff while the copy stayed writable, so
+   a write landing during the diff round trip was dropped with the copy
+   (size 32 on 8 nodes printed checksum=WRONG). *)
+let test_jacobi_hbrc_grid () =
+  let iterations = 2 in
+  List.iter
+    (fun size ->
+      let reference = Jacobi.checksum_sequential ~size ~iterations in
+      List.iter
+        (fun nodes ->
+          let r =
+            Jacobi.run
+              { Jacobi.default with Jacobi.size; nodes; iterations; protocol = "hbrc_mw" }
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "size %d on %d nodes" size nodes)
+            reference r.Jacobi.checksum)
+        [ 3; 4; 6; 8; 12; 16 ])
+    [ 24; 32; 48; 64 ]
+
+(* --- the workload table --- *)
+
+let cli args =
+  Sys.command (Filename.quote_command "../bin/dsm_cli.exe" args ~stdout:Filename.null)
+
+(* One config per entry that the application cannot run: its [run] raises
+   Invalid_argument, the table rejects it, and the CLI exits 2 before
+   running anything. *)
+let invalid_configs =
+  [
+    ( "tsp", 4, [ ("cities", Catalog.Int 1) ],
+      (fun () -> ignore (Tsp.run { Tsp.default with Tsp.cities = 1 })),
+      [ "tsp"; "--cities"; "1" ] );
+    ( "jacobi", 1024, [ ("size", Catalog.Int 512) ],
+      (fun () -> ignore (Jacobi.run { Jacobi.default with Jacobi.nodes = 1024; size = 512 })),
+      [ "jacobi"; "--nodes"; "1024"; "--size"; "512" ] );
+    ( "coloring", 0, [],
+      (fun () -> ignore (Map_coloring.run { Map_coloring.default with Map_coloring.nodes = 0 })),
+      [ "coloring"; "--nodes"; "0" ] );
+    ( "lu", 8, [ ("size", Catalog.Int 4) ],
+      (fun () -> ignore (Lu.run { Lu.default with Lu.nodes = 8; size = 4 })),
+      [ "top"; "--workload"; "lu"; "--nodes"; "8"; "--size"; "4" ] );
+    ( "matmul", 8, [ ("size", Catalog.Int 4) ],
+      (fun () -> ignore (Matmul.run { Matmul.default with Matmul.nodes = 8; size = 4 })),
+      [ "top"; "--workload"; "matmul"; "--nodes"; "8"; "--size"; "4" ] );
+    ( "sort", 0, [],
+      (fun () -> ignore (Sort.run { Sort.default with Sort.nodes = 0 })),
+      [ "analyze"; "sort"; "--nodes"; "0" ] );
+  ]
+
+let test_catalog_rejects_invalid () =
+  Alcotest.(check (list string)) "one config per entry"
+    (List.map (fun (e : Catalog.entry) -> e.name) Catalog.all)
+    (List.map (fun (name, _, _, _, _) -> name) invalid_configs);
+  List.iter
+    (fun (name, nodes, given, lib, args) ->
+      let e = Option.get (Catalog.find name) in
+      Alcotest.(check bool) (name ^ ": library raises") true
+        (match lib () with () -> false | exception Invalid_argument _ -> true);
+      Alcotest.(check bool) (name ^ ": table rejects") true
+        (Result.is_error (Catalog.resolve e ~nodes given));
+      Alcotest.(check int) (name ^ ": CLI exits 2") 2 (cli args))
+    invalid_configs
+
+let test_catalog_rejects_undeclared () =
+  Alcotest.(check bool) "coloring declares no size" true
+    (Result.is_error
+       (Catalog.resolve (Option.get (Catalog.find "coloring")) ~nodes:4
+          [ ("size", Catalog.Int 8) ]));
+  Alcotest.(check int) "top --workload coloring --size 8" 2
+    (cli [ "top"; "--workload"; "coloring"; "--size"; "8"; "--quiet" ])
+
+(* --seed through the table is the bench's tie seed: the committed
+   BENCH_macro.json times of jacobi:hbrc_mw:bip-myrinet. *)
+let test_catalog_seed_pins_bench () =
+  let e = Option.get (Catalog.find "jacobi") in
+  let params =
+    Result.get_ok
+      (Catalog.resolve e ~nodes:4 [ ("size", Catalog.Int 32); ("iterations", Catalog.Int 4) ])
+  in
+  let time_us seed =
+    let dsm = ref None in
+    let o =
+      e.run ~nodes:4 ~driver:Dsmpm2_net.Driver.bip_myrinet ~protocol:"hbrc_mw"
+        ~seed:(Some seed) ~observe:(Some (fun d -> dsm := Some d)) params
+    in
+    Alcotest.(check bool) "correct" true (Lazy.force o.Catalog.correct);
+    Dsmpm2_core.Dsm.now_us (Option.get !dsm)
+  in
+  Alcotest.(check (float 0.005)) "seed 0" 4283.24 (time_us 0);
+  Alcotest.(check (float 0.005)) "seed 1" 4270.24 (time_us 1)
+
+let test_analyze_honours_seed () =
+  let report seed =
+    let file = Printf.sprintf "analyze_seed%d.txt" seed in
+    ignore
+      (Sys.command
+         (Filename.quote_command "../bin/dsm_cli.exe"
+            [ "analyze"; "jacobi"; "--seed"; string_of_int seed ]
+            ~stdout:file));
+    In_channel.with_open_text file In_channel.input_all
+  in
+  Alcotest.(check bool) "seeds 0 and 1 differ" true (report 0 <> report 1)
+
 (* --- map colouring over DSM --- *)
 
 let test_coloring_both_protocols_optimal () =
@@ -188,6 +294,7 @@ let () =
           Alcotest.test_case "matches sequential" `Slow test_jacobi_matches_sequential;
           Alcotest.test_case "hbrc ships diffs" `Slow test_jacobi_hbrc_ships_diffs;
           Alcotest.test_case "single node" `Quick test_jacobi_single_node_degenerate;
+          Alcotest.test_case "hbrc_mw grid matches sequential" `Slow test_jacobi_hbrc_grid;
         ] );
       ( "matmul",
         [ Alcotest.test_case "matches sequential" `Slow test_matmul_matches_sequential ] );
@@ -195,5 +302,12 @@ let () =
         [
           Alcotest.test_case "both protocols optimal" `Slow test_coloring_both_protocols_optimal;
           Alcotest.test_case "ic pays checks, pf pays faults" `Slow test_coloring_ic_pays_checks;
+        ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "rejects invalid configs" `Quick test_catalog_rejects_invalid;
+          Alcotest.test_case "rejects undeclared params" `Quick test_catalog_rejects_undeclared;
+          Alcotest.test_case "seed pins bench" `Quick test_catalog_seed_pins_bench;
+          Alcotest.test_case "analyze honours --seed" `Quick test_analyze_honours_seed;
         ] );
     ]
