@@ -150,6 +150,21 @@ let bechamel_tests ?filter () =
     done;
     Engine.run eng
   in
+  (* The access hit path: one run is a thread on the page's home doing 64
+     li_hudak read hits, so the spawn and the engine run are amortised over
+     the hits.  The runtime is built once; each run adds one thread. *)
+  let read_hits =
+    let dsm = Dsm.create ~nodes:2 ~driver:Driver.bip_myrinet () in
+    let ids = Builtin.register_all dsm in
+    let x = Dsm.malloc dsm ~protocol:ids.Builtin.li_hudak ~home:(Dsm.On_node 0) 8 in
+    fun () ->
+      ignore
+        (Dsm.spawn dsm ~node:0 (fun () ->
+             for _ = 1 to 64 do
+               ignore (Sys.opaque_identity (Dsm.read_int dsm x))
+             done));
+      Dsm.run dsm
+  in
   let named =
     [
       ("sim/read_fault_page_transfer", fault_once `Page);
@@ -160,6 +175,7 @@ let bechamel_tests ?filter () =
       ("diff/compute_4k_sparse", diff_sparse);
       ("diff/compute_4k_sparse_bytewise", diff_sparse_bytewise);
       ("frame/read_int_hot_x64", frame_read_hot);
+      ("dsm/read_hit", read_hits);
       ("net/send_request_x64", network_send);
     ]
   in

@@ -341,6 +341,9 @@ let run_workload ~cmd ?(on_attach = fun _ _ -> ()) (entry : Catalog.entry) s
     | Error msg -> fail cmd "%s" msg
   in
   let protocol = Option.value s.protocol ~default:entry.protocol in
+  if not (List.mem protocol Dsmpm2_protocols.Builtin.names) then
+    fail cmd "unknown protocol %S (registered: %s)" protocol
+      (String.concat ", " Dsmpm2_protocols.Builtin.names);
   let attached = ref None in
   let observe dsm =
     let w = Observe.attach config dsm in

@@ -41,7 +41,7 @@ let malloc (rt : t) ?protocol ?(home = Round_robin) size =
   let protocol =
     match protocol with Some p -> p | None -> rt.Runtime.default_protocol
   in
-  ignore (Runtime.proto rt protocol);
+  let init = (Runtime.proto rt protocol).Protocol.on_page_init in
   let n = Runtime.nodes rt in
   let page_size = Page.size rt.Runtime.geo in
   let npages = (size + page_size - 1) / page_size in
@@ -57,17 +57,15 @@ let malloc (rt : t) ?protocol ?(home = Round_robin) size =
           node
       | Block -> min (n - 1) (i * n / npages)
     in
-    for node = 0 to n - 1 do
-      let rights = if node = home_node then Access.Read_write else Access.No_access in
-      ignore
-        (Page_table.declare rt.Runtime.tables.(node) ~page ~home:home_node
-           ~owner:home_node ~protocol ~rights)
-    done;
+    (* One directory row and the home's entry; every other node's entry is
+       created on its first touch (see [Page_table.find]). *)
+    Page_table.map rt.Runtime.directory ~page ~home:home_node ~protocol;
+    ignore
+      (Page_table.declare rt.Runtime.tables.(home_node) ~page ~home:home_node
+         ~owner:home_node ~protocol ~rights:Access.Read_write);
     (* Materialise the reference copy eagerly so sends always find a frame. *)
     ignore (Frame_store.frame rt.Runtime.stores.(home_node) page);
-    (match (Runtime.proto rt protocol).Protocol.on_page_init with
-    | None -> ()
-    | Some init -> for node = 0 to n - 1 do init rt ~node ~page done)
+    match init with None -> () | Some init -> init rt ~node:home_node ~page
   done;
   addr
 
@@ -82,142 +80,177 @@ let attr ?protocol ?(home = Round_robin) () =
 let malloc_attr rt a size = malloc rt ?protocol:a.attr_protocol ~home:a.attr_home size
 
 let switch_protocol (rt : t) ~addr ~size ~protocol =
-  ignore (Runtime.proto rt protocol);
+  let init = (Runtime.proto rt protocol).Protocol.on_page_init in
   let pages = region_pages rt ~addr ~size in
   let n = Runtime.nodes rt in
-  (* Pass 1: the area must be quiescent on every node. *)
+  (* Only the entries that exist can hold rights, twins or faults: an
+     untouched node's entry is the default state, which the new row
+     reproduces on its first touch. *)
+  let existing page =
+    List.filter_map
+      (fun node ->
+        Option.map (fun e -> (node, e)) (Page_table.find_opt (Runtime.table rt node) page))
+      (List.init n Fun.id)
+  in
+  (* Pass 1: the area must be mapped and quiescent on every node. *)
   List.iter
     (fun page ->
-      for node = 0 to n - 1 do
-        let e = Runtime.entry rt ~node ~page in
-        if e.Page_table.faulting || e.Page_table.pinned then
-          invalid_arg
-            (Printf.sprintf
-               "Dsm.switch_protocol: page %d has a fault in flight on node %d" page
-               node);
-        if e.Page_table.twin <> None then
-          invalid_arg
-            (Printf.sprintf
-               "Dsm.switch_protocol: page %d has an unflushed twin on node %d \
-                (release enclosing locks first)"
-               page node)
-      done)
+      ignore (Runtime.home rt page);
+      List.iter
+        (fun (node, (e : Page_table.entry)) ->
+          if e.faulting || e.pinned then
+            invalid_arg
+              (Printf.sprintf
+                 "Dsm.switch_protocol: page %d has a fault in flight on node %d" page
+                 node);
+          if e.twin <> None then
+            invalid_arg
+              (Printf.sprintf
+                 "Dsm.switch_protocol: page %d has an unflushed twin on node %d \
+                  (release enclosing locks first)"
+                 page node))
+        (existing page))
     pages;
   (* Pass 2: consolidate the authoritative copy on the home and reset the
      distributed table to the post-allocation state under the new id. *)
   List.iter
     (fun page ->
-      let home = (Runtime.entry rt ~node:0 ~page).Page_table.home in
+      let home = Runtime.home rt page in
+      let entries = existing page in
       let authoritative =
-        let rec find node =
-          if node >= n then home
-          else if
-            (Runtime.entry rt ~node ~page).Page_table.rights = Access.Read_write
-          then node
-          else find (node + 1)
-        in
-        find 0
+        match
+          List.find_opt
+            (fun (_, (e : Page_table.entry)) -> e.rights = Access.Read_write)
+            entries
+        with
+        | Some (node, _) -> node
+        | None -> home
       in
       if authoritative <> home then
         Frame_store.install (Runtime.store rt home) page
           (Frame_store.frame (Runtime.store rt authoritative) page);
+      Page_table.set_protocol rt.Runtime.directory ~page protocol;
+      List.iter
+        (fun (node, (e : Page_table.entry)) ->
+          e.protocol <- protocol;
+          e.prob_owner <- home;
+          e.copyset <- [];
+          e.rights <- (if node = home then Access.Read_write else Access.No_access))
+        entries;
       for node = 0 to n - 1 do
-        let e = Runtime.entry rt ~node ~page in
-        e.Page_table.protocol <- protocol;
-        e.Page_table.prob_owner <- home;
-        e.Page_table.copyset <- [];
-        e.Page_table.rights <-
-          (if node = home then Access.Read_write else Access.No_access);
         if node <> home then Frame_store.drop (Runtime.store rt node) page
       done;
-      match (Runtime.proto rt protocol).Protocol.on_page_init with
+      (* A protocol with an init hook (the quorum family) needs every
+         replica seeded from the consolidated copy, so here its entries are
+         created on every node. *)
+      match init with
       | None -> ()
       | Some init -> for node = 0 to n - 1 do init rt ~node ~page done)
     pages
 
 (* --- access detection --- *)
 
-let ensure_access (rt : t) ~addr ~mode =
+(* A fault: detection costs, the protocol's fault action, the latency. *)
+let fault (rt : t) ~node ~page ~mode (proto : Runtime.t Protocol.t) =
   let marcel = Runtime.marcel rt in
   let h = rt.Runtime.instr_h in
-  let rec attempt n =
-    if n > rt.Runtime.fault_loop_limit then
-      raise (Fault_storm { addr; mode; attempts = n });
-    let node = Runtime.self_node rt in
-    let page = Page.page_of_addr rt.Runtime.geo addr in
-    let e = Runtime.entry rt ~node ~page in
-    let proto = Runtime.proto rt e.Page_table.protocol in
-    (match proto.Protocol.detection with
-    | Protocol.Inline_check ->
-        Stats.bump h.Instrument.h_inline_checks;
-        Marcel.charge marcel rt.Runtime.costs.inline_check_us
-    | Protocol.Page_fault -> ());
-    if Access.allows e.Page_table.rights mode then Protocol_lib.unpin rt e
-    else begin
-      let started = Engine.now (Runtime.engine rt) in
-      (match proto.Protocol.detection with
-      | Protocol.Page_fault ->
-          Stats.bump
-            (match mode with
-            | Access.Read -> h.Instrument.h_read_faults
-            | Access.Write -> h.Instrument.h_write_faults);
-          Metrics.incr rt.Runtime.metrics ~node ~protocol:proto.Protocol.name
-            (match mode with
-            | Access.Read -> Instrument.m_read_faults
-            | Access.Write -> Instrument.m_write_faults);
-          Marcel.compute marcel rt.Runtime.costs.page_fault_us;
-          Stats.record h.Instrument.h_stage_fault
-            (Time.of_us rt.Runtime.costs.page_fault_us)
-      | Protocol.Inline_check -> Stats.bump h.Instrument.h_check_misses);
-      (* Each fault is the root of a causal span: the request, transfer and
-         install events it triggers — locally and on remote nodes — carry
-         the same id. *)
-      let span = Monitor.new_span rt in
-      if Monitor.enabled rt then
-        Monitor.emit rt ~span
-          (Trace.Fault
-             {
-               node;
-               page;
-               protocol = proto.Protocol.name;
-               mode = Access.mode_to_string mode;
-             });
-      Monitor.with_thread_span rt span (fun () ->
-          match mode with
-          | Access.Read -> proto.Protocol.read_fault rt ~node ~page
-          | Access.Write -> proto.Protocol.write_fault rt ~node ~page);
-      let latency = Time.(Engine.now (Runtime.engine rt) - started) in
-      Stats.record h.Instrument.h_stage_total latency;
-      Metrics.observe rt.Runtime.metrics ~node ~protocol:proto.Protocol.name
-        Instrument.m_fault_latency latency;
-      attempt (n + 1)
-    end
-  in
-  attempt 0
+  let started = Engine.now (Runtime.engine rt) in
+  (match proto.Protocol.detection with
+  | Protocol.Page_fault ->
+      Stats.bump
+        (match mode with
+        | Access.Read -> h.Instrument.h_read_faults
+        | Access.Write -> h.Instrument.h_write_faults);
+      Metrics.incr rt.Runtime.metrics ~node ~protocol:proto.Protocol.name
+        (match mode with
+        | Access.Read -> Instrument.m_read_faults
+        | Access.Write -> Instrument.m_write_faults);
+      Marcel.compute marcel rt.Runtime.costs.page_fault_us;
+      Stats.record h.Instrument.h_stage_fault
+        (Time.of_us rt.Runtime.costs.page_fault_us)
+  | Protocol.Inline_check -> Stats.bump h.Instrument.h_check_misses);
+  (* Each fault is the root of a causal span: the request, transfer and
+     install events it triggers — locally and on remote nodes — carry
+     the same id. *)
+  let span = Monitor.new_span rt in
+  if Monitor.enabled rt then
+    Monitor.emit rt ~span
+      (Trace.Fault
+         {
+           node;
+           page;
+           protocol = proto.Protocol.name;
+           mode = Access.mode_to_string mode;
+         });
+  Monitor.with_thread_span rt span (fun () ->
+      match mode with
+      | Access.Read -> proto.Protocol.read_fault rt ~node ~page
+      | Access.Write -> proto.Protocol.write_fault rt ~node ~page);
+  let latency = Time.(Engine.now (Runtime.engine rt) - started) in
+  Stats.record h.Instrument.h_stage_total latency;
+  Metrics.observe rt.Runtime.metrics ~node ~protocol:proto.Protocol.name
+    Instrument.m_fault_latency latency
 
-let post_read (rt : t) ~node ~addr =
+(* Returns the calling node's entry once it allows [mode], faulting as often
+   as needed.  A top-level function, not a closure, so that a hit allocates
+   nothing. *)
+let rec check_access (rt : t) ~addr ~mode n =
+  if n > rt.Runtime.fault_loop_limit then
+    raise (Fault_storm { addr; mode; attempts = n });
+  let node = Runtime.self_node rt in
   let page = Page.page_of_addr rt.Runtime.geo addr in
   let e = Runtime.entry rt ~node ~page in
-  match (Runtime.proto rt e.Page_table.protocol).Protocol.on_local_read with
+  let proto = Runtime.proto rt e.Page_table.protocol in
+  (match proto.Protocol.detection with
+  | Protocol.Inline_check ->
+      Stats.bump rt.Runtime.instr_h.Instrument.h_inline_checks;
+      Marcel.charge (Runtime.marcel rt) rt.Runtime.costs.inline_check_us
+  | Protocol.Page_fault -> ());
+  if Access.allows e.Page_table.rights mode then begin
+    Protocol_lib.unpin rt e;
+    e
+  end
+  else begin
+    fault rt ~node ~page ~mode proto;
+    check_access rt ~addr ~mode (n + 1)
+  end
+
+let ensure_access rt ~addr ~mode = ignore (check_access rt ~addr ~mode 0)
+
+(* The history records are built only while recording, so that a hit
+   allocates nothing otherwise. *)
+let record_read (rt : t) ~start ~addr ~value =
+  match rt.Runtime.history with
   | None -> ()
-  | Some hook -> hook rt ~node ~page
+  | Some _ -> Runtime.record_history rt ~start (History.Read { addr; value })
+
+let record_write (rt : t) ~start ~addr ~value =
+  match rt.Runtime.history with
+  | None -> ()
+  | Some _ -> Runtime.record_history rt ~start (History.Write { addr; value })
+
+(* [e] is the entry [check_access] returned: the thread has not moved since,
+   so it is this node's entry for the accessed page. *)
+let post_read (rt : t) ~node (e : Page_table.entry) =
+  match (Runtime.proto rt e.protocol).Protocol.on_local_read with
+  | None -> ()
+  | Some hook -> hook rt ~node ~page:e.page
 
 let read_int rt addr =
   let start = Engine.now (Runtime.engine rt) in
-  ensure_access rt ~addr ~mode:Access.Read;
+  let e = check_access rt ~addr ~mode:Access.Read 0 in
   let node = Runtime.self_node rt in
   let value = Frame_store.read_int (Runtime.store rt node) ~addr in
-  Runtime.record_history rt ~start (History.Read { addr; value });
-  post_read rt ~node ~addr;
+  record_read rt ~start ~addr ~value;
+  post_read rt ~node e;
   value
 
-let post_write (rt : t) ~node ~addr ~value =
-  let page = Page.page_of_addr rt.Runtime.geo addr in
-  let e = Runtime.entry rt ~node ~page in
-  (match (Runtime.proto rt e.Page_table.protocol).Protocol.on_local_write with
+let post_write (rt : t) ~node (e : Page_table.entry) ~addr ~value =
+  (match (Runtime.proto rt e.protocol).Protocol.on_local_write with
   | None -> ()
   | Some hook ->
-      hook rt ~node ~page ~offset:(Page.offset_of_addr rt.Runtime.geo addr) ~value);
+      hook rt ~node ~page:e.page ~offset:(Page.offset_of_addr rt.Runtime.geo addr)
+        ~value);
   (* A blocking hook (the quorum protocols' put round) means the write only
      takes effect now; widen its recorded real-time window to match. *)
   match rt.Runtime.history with
@@ -229,44 +262,48 @@ let post_write (rt : t) ~node ~addr ~value =
 
 let write_int rt addr value =
   let start = Engine.now (Runtime.engine rt) in
-  ensure_access rt ~addr ~mode:Access.Write;
+  let e = check_access rt ~addr ~mode:Access.Write 0 in
   let node = Runtime.self_node rt in
   Frame_store.write_int (Runtime.store rt node) ~addr value;
   (* Record before [post_write]: propagation (update pushes, diff flushes)
      may block, and a remote read of the propagated value must find this
      write already in the history. *)
-  Runtime.record_history rt ~start (History.Write { addr; value });
-  post_write rt ~node ~addr ~value
+  record_write rt ~start ~addr ~value;
+  post_write rt ~node e ~addr ~value
 
 let read_byte rt addr =
   let start = Engine.now (Runtime.engine rt) in
-  ensure_access rt ~addr ~mode:Access.Read;
+  let e = check_access rt ~addr ~mode:Access.Read 0 in
   let node = Runtime.self_node rt in
   let b = Frame_store.read_byte (Runtime.store rt node) ~addr in
   (* History works at word granularity; report the containing word. *)
   let word_addr = addr land lnot 7 in
   let value = Frame_store.read_int (Runtime.store rt node) ~addr:word_addr in
-  Runtime.record_history rt ~start (History.Read { addr = word_addr; value });
-  post_read rt ~node ~addr:word_addr;
+  record_read rt ~start ~addr:word_addr ~value;
+  post_read rt ~node e;
   b
 
 let write_byte rt addr value =
   let start = Engine.now (Runtime.engine rt) in
-  ensure_access rt ~addr ~mode:Access.Write;
+  let e = check_access rt ~addr ~mode:Access.Write 0 in
   let node = Runtime.self_node rt in
   Frame_store.write_byte (Runtime.store rt node) ~addr value;
   (* Record at word granularity: report the containing word's new value. *)
   let word_addr = addr land lnot 7 in
   let value = Frame_store.read_int (Runtime.store rt node) ~addr:word_addr in
-  Runtime.record_history rt ~start (History.Write { addr = word_addr; value });
-  post_write rt ~node ~addr:word_addr ~value
+  record_write rt ~start ~addr:word_addr ~value;
+  post_write rt ~node e ~addr:word_addr ~value
 
 let unsafe_peek (rt : t) ~node addr =
   Frame_store.read_int (Runtime.store rt node) ~addr
 
 let unsafe_rights (rt : t) ~node ~addr =
   let page = Page.page_of_addr rt.Runtime.geo addr in
-  (Runtime.entry rt ~node ~page).Page_table.rights
+  match Page_table.find_opt (Runtime.table rt node) page with
+  | Some e -> e.Page_table.rights
+  | None ->
+      ignore (Runtime.home rt page);
+      Access.No_access
 
 (* --- conformance history --- *)
 

@@ -72,7 +72,9 @@ val malloc : t -> ?protocol:int -> ?home:home_policy -> int -> int
     whole pages, so regions never share a page) and returns the start
     address, valid on every node (iso-address).  [protocol] is the region's
     creation attribute, defaulting to the default protocol; [home] places
-    the pages (default [Round_robin]). *)
+    the pages (default [Round_robin]).  Each page gets a directory row and
+    an entry on its home; the other nodes' entries are created on their
+    first touch (see {!Page_table}). *)
 
 val region_pages : t -> addr:int -> size:int -> int list
 (** Page numbers backing a region, for reports and tests. *)
@@ -94,7 +96,8 @@ val switch_protocol : t -> addr:int -> size:int -> protocol:int -> unit
     table on all nodes".  This call performs those table modifications: it
     consolidates each page's authoritative copy on its home node, drops
     every replica, clears owner chains and copysets, and installs the new
-    protocol id on every node.
+    protocol id in the page directory and in every existing entry (entries
+    created later take it from the directory).
 
     The caller is responsible for quiescence (e.g. via a barrier): the call
     raises [Invalid_argument] if any page of the area has a fault in flight
@@ -119,6 +122,9 @@ val unsafe_peek : t -> node:int -> int -> int
     only: this is the post-mortem view of one node's memory. *)
 
 val unsafe_rights : t -> node:int -> addr:int -> Access.t
+(** One node's rights on the page of [addr], without creating its entry
+    ([No_access] if the node never touched the page).
+    @raise Page_table.Not_mapped if the page is in no region. *)
 
 (** {1 Conformance history} *)
 

@@ -13,7 +13,13 @@
     Entries also carry the fault-coalescing state ([faulting] + condition)
     that makes the table safe for an arbitrary number of concurrent threads
     per node: concurrent faults on one page coalesce, faults on different
-    pages proceed in parallel. *)
+    pages proceed in parallel.
+
+    The tables are sparse.  Allocation records one row per page in the
+    {!directory} shared by all nodes (home and protocol) and declares only
+    the home's entry; every other node's entry is created by its first
+    {!find}, in the state the row implies.  A table therefore holds the
+    pages its node has touched or homes, not every page of every region. *)
 
 open Dsmpm2_sim
 open Dsmpm2_pm2
@@ -45,15 +51,43 @@ type entry = {
 type t
 
 exception Not_mapped of int
-(** Raised when touching a page no allocation ever declared: the simulated
+(** Raised when touching a page no allocation ever mapped: the simulated
     equivalent of a segmentation fault outside the DSM area. *)
 
-val create : node:int -> t
+(** {1 The page directory} *)
+
+type directory
+(** One row per mapped page, shared by every node's table: the page's home
+    node and its current protocol. *)
+
+val create_directory : unit -> directory
+
+val map : directory -> page:int -> home:int -> protocol:int -> unit
+(** Adds [page]'s row; raises [Invalid_argument] if already mapped. *)
+
+val home_of : directory -> int -> int
+(** @raise Not_mapped if the page is in no region. *)
+
+val protocol_of : directory -> int -> int
+(** @raise Not_mapped if the page is in no region. *)
+
+val set_protocol : directory -> page:int -> int -> unit
+(** The protocol later first touches of [page] take; existing entries are
+    the caller's to update.  @raise Not_mapped if the page is in no
+    region. *)
+
+val mapped_pages : directory -> int list
+(** Sorted. *)
+
+(** {1 Per-node tables} *)
+
+val create : directory -> node:int -> t
 val node : t -> int
 
 val set_metrics : t -> Metrics.t -> unit
-(** Attaches the runtime's metrics registry; [declare] then counts mapped
-    pages per node ("page.mapped"). *)
+(** Attaches the runtime's metrics registry; the table then counts the
+    entries it materialises per node ("page.mapped"), declared or created
+    on first touch. *)
 
 val declare :
   t ->
@@ -66,12 +100,21 @@ val declare :
 (** Adds an entry for [page]; raises [Invalid_argument] if already present. *)
 
 val find : t -> int -> entry
-(** @raise Not_mapped if the page was never declared. *)
+(** The node's entry for [page], created on first use from the page's
+    directory row: no rights, [prob_owner] = [home], the row's protocol,
+    an empty copyset.  A repeated lookup of the same page is served from a
+    one-entry cache and allocates nothing.
+    @raise Not_mapped if the page has neither an entry nor a row. *)
 
 val find_opt : t -> int -> entry option
+(** The entry if this node has one; never creates it.  For observers: a
+    missing entry stands for the default state {!find} would create. *)
+
 val mem : t -> int -> bool
+(** Whether this node has an entry for the page (declared or touched). *)
+
 val entries : t -> entry list
-(** Sorted by page number. *)
+(** The entries this node has, sorted by page number. *)
 
 val copyset_add : entry -> int -> unit
 val copyset_remove : entry -> int -> unit

@@ -95,9 +95,12 @@ type 'rt t = {
           rights it granted so the next read faults again and re-runs its
           quorum round.  [None] for all page-grain protocols. *)
   on_page_init : ('rt -> node:int -> page:int -> unit) option;
-      (** Called once per (node, page) when a page enters the protocol's
-          custody: at [Dsm.malloc] for pages created under the protocol, and
-          for every page after [Dsm.switch_protocol] consolidates into it.
+      (** Called when a page enters the protocol's custody: at
+          [Dsm.malloc] on the home's entry only, and on every node's entry
+          after [Dsm.switch_protocol] consolidates a page into it.  The
+          other nodes' entries of a fresh allocation are created on first
+          touch and never see this hook: the protocol must read a fresh
+          entry ([ext = No_ext], a zero frame) as the page's initial state.
           Runs in plain (non-fiber) context during setup; must not block.
           [sc_abd] uses it to seed its replica tags and clear the
           default home-node access rights.  [None] elsewhere. *)

@@ -60,6 +60,7 @@ type attachment = ..
 type t = {
   pm2 : Pm2.t;
   geo : Page.geometry;
+  directory : Page_table.directory;
   tables : Page_table.t array;
   stores : Frame_store.t array;
   registry : t Protocol.registry;
@@ -97,12 +98,14 @@ let create ?(costs = default_costs) pm2 =
   let geo = Page.geometry ~size:(Isoalloc.page_size (Pm2.iso pm2)) in
   let metrics = Metrics.create () in
   let instr = Stats.create () in
+  let directory = Page_table.create_directory () in
   {
     pm2;
     geo;
+    directory;
     tables =
       Array.init n (fun node ->
-          let table = Page_table.create ~node in
+          let table = Page_table.create directory ~node in
           Page_table.set_metrics table metrics;
           table);
     stores = Array.init n (fun _ -> Frame_store.create ~geometry:geo);
@@ -151,6 +154,7 @@ let services t =
   | None -> failwith "Runtime.services: Dsm_comm.init has not run"
 
 let entry t ~node ~page = Page_table.find t.tables.(node) page
+let home t page = Page_table.home_of t.directory page
 
 let lock_state t id =
   match Hashtbl.find_opt t.locks id with

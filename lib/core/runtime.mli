@@ -70,7 +70,10 @@ type attachment = ..
 type t = {
   pm2 : Pm2.t;
   geo : Page.geometry;
-  tables : Page_table.t array;
+  directory : Page_table.directory;
+      (** one row per mapped page (home, protocol), written by
+          [Dsm.malloc] and [Dsm.switch_protocol] *)
+  tables : Page_table.t array;  (** sparse: see {!Page_table} *)
   stores : Frame_store.t array;
   registry : t Protocol.registry;
   mutable default_protocol : int;
@@ -138,7 +141,12 @@ val services : t -> services
 (** @raise Failure if {!Dsm_comm.init} has not run. *)
 
 val entry : t -> node:int -> page:int -> Page_table.entry
-(** Shorthand for [Page_table.find (table t node) page]. *)
+(** Shorthand for [Page_table.find (table t node) page]: creates the
+    node's entry on first use. *)
+
+val home : t -> int -> int
+(** The page's home node, from the directory: creates no entry.
+    @raise Page_table.Not_mapped if the page is in no region. *)
 
 val lock_state : t -> int -> lock_state
 val barrier_state : t -> int -> barrier_state

@@ -271,14 +271,25 @@ let drain_telemetry w =
 
 (* --- page-table invariant audits --- *)
 
+(* The audit walks the page directory and reads the entries that exist,
+   creating none.  A missing entry stands for the default state a first
+   touch would create: no rights, the home as probable owner, the row's
+   home and protocol, no fault in flight, an empty copyset. *)
 let audit w =
   let rt = w.rt in
   let n = Runtime.nodes rt in
+  let dir = rt.Runtime.directory in
   List.iter
-    (fun (e0 : Page_table.entry) ->
-      let page = e0.Page_table.page in
+    (fun page ->
+      let home = Page_table.home_of dir page
+      and protocol = Page_table.protocol_of dir page in
       let entries =
         Array.init n (fun node -> Page_table.find_opt (Runtime.table rt node) page)
+      in
+      let rights_of node =
+        match entries.(node) with
+        | Some (e : Page_table.entry) -> e.Page_table.rights
+        | None -> Access.No_access
       in
       let transient =
         Array.exists
@@ -298,24 +309,23 @@ let audit w =
           (fun node -> function
             | None -> ()
             | Some (e : Page_table.entry) ->
-                if e.Page_table.protocol <> e0.Page_table.protocol then
+                if e.Page_table.protocol <> protocol then
                   once w (Printf.sprintf "inv.proto:%d:%d" page node) (fun () ->
                       raise_alert w ~node ~severity:Critical
                         ~kind:"invariant.protocol"
                         (Printf.sprintf
-                           "page %d: node %d maps protocol %d but node 0 maps \
-                            %d"
-                           page node e.Page_table.protocol
-                           e0.Page_table.protocol));
-                if e.Page_table.home <> e0.Page_table.home then
+                           "page %d: node %d maps protocol %d but the \
+                            directory maps %d"
+                           page node e.Page_table.protocol protocol));
+                if e.Page_table.home <> home then
                   once w (Printf.sprintf "inv.home:%d:%d" page node) (fun () ->
                       raise_alert w ~node ~severity:Critical ~kind:"invariant.home"
                         (Printf.sprintf
-                           "page %d: node %d believes home is %d but node 0 \
-                            says %d"
-                           page node e.Page_table.home e0.Page_table.home)))
+                           "page %d: node %d believes home is %d but the \
+                            directory says %d"
+                           page node e.Page_table.home home)))
           entries;
-        let proto = Runtime.proto rt e0.Page_table.protocol in
+        let proto = Runtime.proto rt protocol in
         (* The MRSW invariants below assume ownership-based coherence.  A
            per-access protocol (one that revokes rights after every read,
            i.e. [on_local_read] is set — the quorum family) enforces its
@@ -369,28 +379,19 @@ let audit w =
                 entries;
               List.iter
                 (fun c ->
-                  if c <> owner && c >= 0 && c < n then
-                    match entries.(c) with
-                    | Some (e : Page_table.entry) ->
-                        if
-                          (not (Access.allows e.Page_table.rights Access.Read))
-                          || not (Frame_store.has_frame (Runtime.store rt c) page)
-                        then
-                          once w (Printf.sprintf "inv.copyset:%d:%d" page c)
-                            (fun () ->
-                              raise_alert w ~node:c ~severity:Critical
-                                ~kind:"invariant.copyset"
-                                (Printf.sprintf
-                                   "page %d: node %d is in the owner's copyset \
-                                    but holds %s rights%s"
-                                   page c
-                                   (Access.to_string e.Page_table.rights)
-                                   (if
-                                      Frame_store.has_frame (Runtime.store rt c)
-                                        page
-                                    then ""
-                                    else " and no frame")))
-                    | None -> ())
+                  if c <> owner && c >= 0 && c < n then begin
+                    let rights = rights_of c in
+                    let has_frame = Frame_store.has_frame (Runtime.store rt c) page in
+                    if (not (Access.allows rights Access.Read)) || not has_frame then
+                      once w (Printf.sprintf "inv.copyset:%d:%d" page c) (fun () ->
+                          raise_alert w ~node:c ~severity:Critical
+                            ~kind:"invariant.copyset"
+                            (Printf.sprintf
+                               "page %d: node %d is in the owner's copyset but \
+                                holds %s rights%s"
+                               page c (Access.to_string rights)
+                               (if has_frame then "" else " and no frame")))
+                  end)
                 oe.Page_table.copyset
           | [] ->
               once w (Printf.sprintf "inv.owner0:%d" page) (fun () ->
@@ -404,7 +405,7 @@ let audit w =
                        (String.concat "," (List.map string_of_int many))))
         end
       end)
-    (Page_table.entries (Runtime.table rt 0))
+    (Page_table.mapped_pages dir)
 
 (* --- fault-plan health (only active when a plan is installed) --- *)
 

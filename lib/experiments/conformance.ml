@@ -23,11 +23,7 @@ let workload_name = function
 let workload_by_name n =
   List.find_opt (fun w -> workload_name w = n) workloads
 
-let all_protocols =
-  [
-    "li_hudak"; "migrate_thread"; "erc_sw"; "hbrc_mw"; "java_ic"; "java_pf";
-    "li_hudak_fixed"; "hybrid_rw"; "entry_ec"; "write_update"; "sc_abd";
-  ]
+let all_protocols = Builtin.names
 let nodes = 3
 
 (* The post-mortem value of a word, per the recorded history: the last write

@@ -60,8 +60,7 @@ let addr o = o.obj_addr
 let field_count o = o.obj_fields
 
 let home t o =
-  let page = List.hd (Dsm.region_pages t.dsm ~addr:o.obj_addr ~size:8) in
-  (Runtime.entry t.dsm ~node:0 ~page).Page_table.home
+  Runtime.home t.dsm (List.hd (Dsm.region_pages t.dsm ~addr:o.obj_addr ~size:8))
 
 let check_field o i =
   if i < 0 || i >= o.obj_fields then
@@ -89,6 +88,5 @@ let main_memory_update t =
 let peek_main_memory t o i =
   check_field o i;
   let addr = o.obj_addr + (i * Page.word_bytes) in
-  let page = List.hd (Dsm.region_pages t.dsm ~addr ~size:8) in
-  let home = (Runtime.entry t.dsm ~node:0 ~page).Page_table.home in
+  let home = Runtime.home t.dsm (List.hd (Dsm.region_pages t.dsm ~addr ~size:8)) in
   Dsm.unsafe_peek t.dsm ~node:home addr

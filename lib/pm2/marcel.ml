@@ -20,7 +20,25 @@ type t = {
   cpus : Cpu.t array;
   mutable next_tid : int;
   by_fiber : (int, thread) Hashtbl.t;
+  (* One-entry cache over [by_fiber]: a thread asks for itself on every
+     shared access.  Threads are never removed from [by_fiber], so the
+     cached one cannot go stale.  [last_fid = -1] means empty. *)
+  mutable last_fid : int;
+  mutable last_thread : thread;
 }
+
+let no_thread =
+  {
+    tid = -1;
+    node = 0;
+    stack_bytes = 0;
+    attached_bytes = 0;
+    alive = false;
+    pending_us = 0.;
+    joiners = [];
+    migratable = false;
+    requested_node = None;
+  }
 
 let create eng ~nodes =
   if nodes <= 0 then invalid_arg "Marcel.create: nodes must be positive";
@@ -29,21 +47,39 @@ let create eng ~nodes =
     cpus = Array.init nodes (fun i -> Cpu.create ~name:(Printf.sprintf "node%d" i) ());
     next_tid = 0;
     by_fiber = Hashtbl.create 64;
+    last_fid = -1;
+    last_thread = no_thread;
   }
 
 let engine t = t.eng
 let node_count t = Array.length t.cpus
 let cpu t i = t.cpus.(i)
 
+let thread_of_fiber t fid =
+  if fid = t.last_fid then t.last_thread
+  else
+    match Hashtbl.find t.by_fiber fid with
+    | th ->
+        t.last_fid <- fid;
+        t.last_thread <- th;
+        th
+    | exception Not_found -> no_thread
+
 let self_opt t =
   match Engine.current_fiber t.eng with
   | None -> None
-  | Some fid -> Hashtbl.find_opt t.by_fiber fid
+  | Some fid ->
+      let th = thread_of_fiber t fid in
+      if th == no_thread then None else Some th
 
 let self t =
-  match self_opt t with
-  | Some th -> th
-  | None -> failwith "Marcel.self: not running inside a Marcel thread"
+  let th =
+    match Engine.current_fiber t.eng with
+    | None -> no_thread
+    | Some fid -> thread_of_fiber t fid
+  in
+  if th == no_thread then failwith "Marcel.self: not running inside a Marcel thread";
+  th
 
 let node_of_fiber t fid =
   Option.map (fun th -> th.node) (Hashtbl.find_opt t.by_fiber fid)

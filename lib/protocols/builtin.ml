@@ -64,3 +64,12 @@ let register_extras dsm =
     write_update = Dsm.create_protocol dsm Write_update.protocol;
     sc_abd = Sc_abd.register dsm;
   }
+
+let names =
+  List.map
+    (fun (p : Runtime.t Protocol.t) -> p.Protocol.name)
+    [
+      Li_hudak.protocol; Migrate_thread.protocol; Erc_sw.protocol; Hbrc_mw.protocol;
+      Java_ic.protocol; Java_pf.protocol; Li_hudak_fixed.protocol; Hybrid_rw.protocol;
+      Entry_ec.protocol; Write_update.protocol; Sc_abd.protocol;
+    ]

@@ -37,3 +37,7 @@ val register_extras : Dsm.t -> extra_ids
 (** Registers the protocols this reproduction adds beyond the paper's Table
     2: the fixed-distributed-manager MRSW variant and the section-2.3 hybrid.
     Call after {!register_all}. *)
+
+val names : string list
+(** The names of every protocol {!register_all} and {!register_extras}
+    register, in registration order. *)

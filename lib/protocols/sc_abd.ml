@@ -50,11 +50,16 @@ let services rt =
   | Abd_services s -> s
   | _ -> failwith "sc_abd: services not registered (use Sc_abd.register)"
 
+(* An entry without a tag is a replica created on its node's first touch.
+   It stands for the page's initial state, which every replica holds from
+   malloc on: a zero frame (the node's frame store creates one on demand)
+   under tag (1, home).  It must not copy the home's current frame, which
+   may already hold later writes under higher tags. *)
 let tag_of (e : Page_table.entry) =
   match e.Page_table.ext with
   | Abd_tag t -> t
   | _ ->
-      let t = { ts = 0; origin = 0 } in
+      let t = { ts = 1; origin = e.Page_table.home } in
       e.Page_table.ext <- Abd_tag t;
       t
 
@@ -309,11 +314,13 @@ let on_local_write rt ~node ~page ~offset ~value =
 
 (* Fresh custody: no node holds standing rights (every access must run a
    round).  The quorum-intersection argument requires every tag a round can
-   return to be held by a majority, so the initial state must be too: every
-   replica receives a copy of the home's frame — zeroes at malloc, the
-   consolidated area after a protocol switch — under the same tag (1, home).
-   Init runs at a globally quiescent instant (malloc, or switch_protocol
-   after its quiescence pass), so the copy is setup, not protocol traffic. *)
+   return to be held by a majority, so the initial state must be too.  At
+   malloc this runs on the home only: the other replicas' zero frames under
+   (1, home) are their first-touch default ([tag_of]).  After a protocol
+   switch it runs on every node, and each replica receives a copy of the
+   home's consolidated frame under that same tag.  Init runs at a globally
+   quiescent instant (malloc, or switch_protocol after its quiescence
+   pass), so the copy is setup, not protocol traffic. *)
 let on_page_init rt ~node ~page =
   let e = Runtime.entry rt ~node ~page in
   e.Page_table.rights <- Access.No_access;

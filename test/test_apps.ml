@@ -248,6 +248,29 @@ let test_analyze_honours_seed () =
   in
   Alcotest.(check bool) "seeds 0 and 1 differ" true (report 0 <> report 1)
 
+(* An unknown --protocol is a usage error like a rejected parameter: exit 2
+   with a message that names every registered protocol. *)
+let test_cli_unknown_protocol () =
+  let file = "unknown_protocol.txt" in
+  let code =
+    Sys.command
+      (Filename.quote_command "../bin/dsm_cli.exe"
+         [ "jacobi"; "--protocol"; "nosuch" ]
+         ~stdout:file ~stderr:file)
+  in
+  Alcotest.(check int) "exit 2" 2 code;
+  let out = In_channel.with_open_text file In_channel.input_all in
+  let mentions name =
+    let n = String.length name in
+    let rec at i =
+      i + n <= String.length out && (String.sub out i n = name || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " named") true (mentions name))
+    ("nosuch" :: Dsmpm2_protocols.Builtin.names)
+
 (* --- map colouring over DSM --- *)
 
 let test_coloring_both_protocols_optimal () =
@@ -309,5 +332,6 @@ let () =
           Alcotest.test_case "rejects undeclared params" `Quick test_catalog_rejects_undeclared;
           Alcotest.test_case "seed pins bench" `Quick test_catalog_seed_pins_bench;
           Alcotest.test_case "analyze honours --seed" `Quick test_analyze_honours_seed;
+          Alcotest.test_case "unknown --protocol exits 2" `Quick test_cli_unknown_protocol;
         ] );
     ]

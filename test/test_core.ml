@@ -21,7 +21,7 @@ let run_one dsm ~node f =
 (* --- page table --- *)
 
 let test_page_table_declare_find () =
-  let t = Page_table.create ~node:1 in
+  let t = Page_table.create (Page_table.create_directory ()) ~node:1 in
   let e = Page_table.declare t ~page:7 ~home:0 ~owner:0 ~protocol:3 ~rights:Access.No_access in
   Alcotest.(check int) "page" 7 e.Page_table.page;
   Alcotest.(check bool) "mem" true (Page_table.mem t 7);
@@ -33,7 +33,7 @@ let test_page_table_declare_find () =
       ignore (Page_table.declare t ~page:7 ~home:0 ~owner:0 ~protocol:0 ~rights:Access.No_access))
 
 let test_page_table_copyset () =
-  let t = Page_table.create ~node:0 in
+  let t = Page_table.create (Page_table.create_directory ()) ~node:0 in
   let e = Page_table.declare t ~page:1 ~home:0 ~owner:0 ~protocol:0 ~rights:Access.Read_write in
   Page_table.copyset_add e 3;
   Page_table.copyset_add e 1;
@@ -43,7 +43,7 @@ let test_page_table_copyset () =
   Alcotest.(check (list int)) "removed" [ 3 ] e.Page_table.copyset
 
 let test_page_table_entries_sorted () =
-  let t = Page_table.create ~node:0 in
+  let t = Page_table.create (Page_table.create_directory ()) ~node:0 in
   List.iter
     (fun p -> ignore (Page_table.declare t ~page:p ~home:0 ~owner:0 ~protocol:0 ~rights:Access.No_access))
     [ 5; 1; 3 ];
@@ -105,6 +105,134 @@ let test_unmapped_access_fails () =
       try ignore (Dsm.read_int dsm 123456888) with
       | Page_table.Not_mapped _ -> failed := true);
   Alcotest.(check bool) "segfault equivalent" true !failed
+
+(* --- sparse page tables --- *)
+
+let entry_count dsm =
+  List.fold_left ( + ) 0
+    (List.init (Dsm.nodes dsm) (fun node ->
+         List.length (Page_table.entries (Runtime.table dsm node))))
+
+let test_malloc_declares_homes_only () =
+  let dsm, _ = make ~nodes:8 () in
+  let pages = 16 in
+  let addr = Dsm.malloc dsm (pages * 4096) in
+  Alcotest.(check int) "one entry per page, not pages x nodes" pages (entry_count dsm);
+  List.iteri
+    (fun i page ->
+      Alcotest.(check bool) "the home's entry" true
+        (Page_table.mem (Runtime.table dsm (i mod 8)) page))
+    (Dsm.region_pages dsm ~addr ~size:(pages * 4096))
+
+let test_lazy_entry_matches_declare () =
+  let dsm, ids = make () in
+  let addr = Dsm.malloc dsm ~protocol:ids.Builtin.hbrc_mw ~home:(Dsm.On_node 2) 8 in
+  let page = List.hd (Dsm.region_pages dsm ~addr ~size:8) in
+  Alcotest.(check bool) "untouched" false (Page_table.mem (Runtime.table dsm 1) page);
+  let created = Runtime.entry dsm ~node:1 ~page in
+  let declared =
+    Page_table.declare
+      (Page_table.create (Page_table.create_directory ()) ~node:1)
+      ~page ~home:2 ~owner:2 ~protocol:ids.Builtin.hbrc_mw ~rights:Access.No_access
+  in
+  let state (e : Page_table.entry) =
+    ( (e.page, e.rights, e.prob_owner, e.home, e.copyset, e.protocol),
+      (e.faulting, e.pinned, e.twin, e.ext = Page_table.No_ext) )
+  in
+  Alcotest.(check bool) "same state as an eager declare" true
+    (state created = state declared);
+  Alcotest.(check bool) "created once" true (Runtime.entry dsm ~node:1 ~page == created);
+  Alcotest.(check int) "home plus the touched node" 2 (entry_count dsm)
+
+let test_unmapped_page_creates_nothing () =
+  let dsm, _ = make () in
+  let addr = Dsm.malloc dsm 4096 in
+  let outside = List.hd (Dsm.region_pages dsm ~addr ~size:8) + 1 in
+  Alcotest.check_raises "entry" (Page_table.Not_mapped outside) (fun () ->
+      ignore (Runtime.entry dsm ~node:1 ~page:outside));
+  Alcotest.check_raises "home" (Page_table.Not_mapped outside) (fun () ->
+      ignore (Runtime.home dsm outside));
+  Alcotest.check_raises "rights" (Page_table.Not_mapped outside) (fun () ->
+      ignore (Dsm.unsafe_rights dsm ~node:1 ~addr:(addr + 4096)));
+  Alcotest.check access "untouched node, no rights" Access.No_access
+    (Dsm.unsafe_rights dsm ~node:1 ~addr);
+  Alcotest.(check int) "only the home's entry" 1 (entry_count dsm)
+
+(* Node 1 takes a read copy of page 0 and ownership of page 2 under
+   li_hudak; the switch to hbrc_mw must leave every node, touched or not,
+   in the post-allocation state, as the eager tables did. *)
+let test_switch_protocol_untouched_nodes () =
+  let dsm, ids = make () in
+  let size = 4 * 4096 in
+  let addr = Dsm.malloc dsm ~home:Dsm.Round_robin size in
+  run_one dsm ~node:1 (fun () ->
+      ignore (Dsm.read_int dsm addr);
+      Dsm.write_int dsm (addr + (2 * 4096)) 77);
+  let entries = entry_count dsm in
+  Dsm.switch_protocol dsm ~addr ~size ~protocol:ids.Builtin.hbrc_mw;
+  Alcotest.(check int) "the switch creates no entries" entries (entry_count dsm);
+  List.iteri
+    (fun home page ->
+      Alcotest.(check int) "directory protocol" ids.Builtin.hbrc_mw
+        (Page_table.protocol_of dsm.Runtime.directory page);
+      for node = 0 to 3 do
+        let e = Runtime.entry dsm ~node ~page in
+        let what = Printf.sprintf "page %d node %d" home node in
+        Alcotest.(check int) (what ^ " protocol") ids.Builtin.hbrc_mw e.Page_table.protocol;
+        Alcotest.(check int) (what ^ " owner") home e.Page_table.prob_owner;
+        Alcotest.(check (list int)) (what ^ " copyset") [] e.Page_table.copyset;
+        Alcotest.check access (what ^ " rights")
+          (if node = home then Access.Read_write else Access.No_access)
+          e.Page_table.rights;
+        if node <> home then
+          Alcotest.(check bool) (what ^ " replica dropped") false
+            (Frame_store.has_frame (Runtime.store dsm node) page)
+      done)
+    (Dsm.region_pages dsm ~addr ~size);
+  Alcotest.(check int) "consolidated on the home" 77
+    (Dsm.unsafe_peek dsm ~node:2 (addr + (2 * 4096)))
+
+(* Node 4 is down while node 0 writes, so its replica of the sc_abd page is
+   first created after the write, as the zero frame under tag (1, home).
+   Its read must still return the write, collected from a majority. *)
+let test_sc_abd_late_replica_reads_quorum () =
+  let dsm, _ = make ~nodes:5 () in
+  let sc_abd = (Builtin.register_extras dsm).Builtin.sc_abd in
+  let x = Dsm.malloc dsm ~protocol:sc_abd ~home:(Dsm.On_node 0) 8 in
+  let page = List.hd (Dsm.region_pages dsm ~addr:x ~size:8) in
+  Dsm.inject_faults dsm
+    (Dsmpm2_sim.Fault_plan.create
+       ~windows:
+         [ { Dsmpm2_sim.Fault_plan.w_node = 4; w_down = Time.zero; w_up = Time.of_us 100_000. } ]
+       ());
+  run_one dsm ~node:0 (fun () -> Dsm.write_int dsm x 42);
+  Alcotest.(check bool) "replica 4 not created by the write" false
+    (Page_table.mem (Runtime.table dsm 4) page);
+  let got = ref 0 in
+  run_one dsm ~node:4 (fun () -> got := Dsm.read_int dsm x);
+  Alcotest.(check int) "late replica reads the write" 42 !got;
+  Alcotest.(check int) "and now holds it" 42 (Dsm.unsafe_peek dsm ~node:4 x)
+
+let test_observers_create_no_entries () =
+  let dsm, _ = make () in
+  let w = Watchdog.attach dsm in
+  let size = 8 * 4096 in
+  let addr = Dsm.malloc dsm ~home:Dsm.Round_robin size in
+  run_one dsm ~node:0 (fun () ->
+      for i = 0 to 3 do
+        ignore (Dsm.read_int dsm (addr + (i * 4096)));
+        Dsm.compute dsm 500.
+      done);
+  (* the 8 homes, plus node 0's copies of pages 1-3 *)
+  Alcotest.(check int) "entries" 11 (entry_count dsm);
+  Alcotest.(check bool) "audited" true (Watchdog.pages_audited w > 0);
+  Alcotest.(check (list string)) "no alerts" []
+    (List.filter_map
+       (fun a ->
+         if a.Watchdog.al_severity = Watchdog.Info then None else Some a.Watchdog.al_kind)
+       (Watchdog.alerts w));
+  ignore (Dsm.unsafe_rights dsm ~node:3 ~addr);
+  Alcotest.(check int) "entries after the observers" 11 (entry_count dsm)
 
 (* --- access detection --- *)
 
@@ -378,6 +506,48 @@ let test_ensure_access_public_path () =
       Alcotest.(check (float 0.001)) "read after ensure is free" 0.
         (Dsm.now_us dsm -. t0))
 
+(* Minor words per call of [f], over [n] calls. *)
+let words_per_call n f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  int_of_float ((Gc.minor_words () -. w0) /. float n)
+
+(* A hit on the home node, with history off, allocates nothing: one
+   page-table probe, cached (page -> entry) and (fiber -> thread) lookups,
+   no closure and no history record. *)
+let test_hit_path_allocates_nothing () =
+  let dsm, ids = make () in
+  List.iter
+    (fun (name, protocol) ->
+      let x = Dsm.malloc dsm ~protocol ~home:(Dsm.On_node 0) 4096 in
+      run_one dsm ~node:0 (fun () ->
+          Dsm.write_int dsm x 1;
+          ignore (Dsm.read_int dsm x);
+          Alcotest.(check int) (name ^ " read hit") 0
+            (words_per_call 1000 (fun () -> ignore (Dsm.read_int dsm x)));
+          Alcotest.(check int) (name ^ " write hit") 0
+            (words_per_call 1000 (fun () -> Dsm.write_int dsm (x + 8) 2))))
+    [
+      ("li_hudak", ids.Builtin.li_hudak);
+      ("hbrc_mw", ids.Builtin.hbrc_mw);
+      ("java_pf", ids.Builtin.java_pf);
+    ]
+
+(* The (fiber -> thread) cache holds the thread, not its node: after
+   migrate_thread moves the thread, self_node and the access path follow. *)
+let test_self_node_follows_migration () =
+  let dsm, ids = make () in
+  let x = Dsm.malloc dsm ~protocol:ids.Builtin.migrate_thread ~home:(Dsm.On_node 2) 8 in
+  let seen = ref [] in
+  run_one dsm ~node:0 (fun () ->
+      let before = Dsm.self_node dsm in
+      Dsm.write_int dsm x 5;
+      seen := [ before; Dsm.self_node dsm; Dsm.read_int dsm x ]);
+  Alcotest.(check (list int)) "node 0, then node 2, reading its write" [ 0; 2; 5 ] !seen;
+  Alcotest.(check int) "written on node 2" 5 (Dsm.unsafe_peek dsm ~node:2 x)
+
 let test_lock_manager_placement () =
   let dsm, _ = make () in
   let l0 = Dsm.lock_create dsm () in
@@ -416,6 +586,21 @@ let () =
           Alcotest.test_case "input validation" `Quick test_malloc_rejects_bad_input;
           Alcotest.test_case "unmapped access" `Quick test_unmapped_access_fails;
         ] );
+      ( "sparse tables",
+        [
+          Alcotest.test_case "malloc declares homes only" `Quick
+            test_malloc_declares_homes_only;
+          Alcotest.test_case "lazy entry = eager declare" `Quick
+            test_lazy_entry_matches_declare;
+          Alcotest.test_case "unmapped page creates nothing" `Quick
+            test_unmapped_page_creates_nothing;
+          Alcotest.test_case "switch over untouched nodes" `Quick
+            test_switch_protocol_untouched_nodes;
+          Alcotest.test_case "sc_abd late replica" `Quick
+            test_sc_abd_late_replica_reads_quorum;
+          Alcotest.test_case "observers create no entries" `Quick
+            test_observers_create_no_entries;
+        ] );
       ( "access",
         [
           Alcotest.test_case "local access free" `Quick test_local_access_costs_nothing;
@@ -423,6 +608,10 @@ let () =
             test_remote_read_costs_paper_total;
           Alcotest.test_case "fault counters" `Quick test_fault_counters;
           Alcotest.test_case "byte accessors" `Quick test_byte_accessors;
+          Alcotest.test_case "hit path allocates nothing" `Quick
+            test_hit_path_allocates_nothing;
+          Alcotest.test_case "self_node follows migration" `Quick
+            test_self_node_follows_migration;
         ] );
       ( "locks",
         [
