@@ -204,7 +204,7 @@ let rec check_access (rt : t) ~addr ~mode n =
   (match proto.Protocol.detection with
   | Protocol.Inline_check ->
       Stats.bump rt.Runtime.instr_h.Instrument.h_inline_checks;
-      Marcel.charge (Runtime.marcel rt) rt.Runtime.costs.inline_check_us
+      Marcel.charge (Runtime.marcel rt) rt.Runtime.inline_check_us
   | Protocol.Page_fault -> ());
   if Access.allows e.Page_table.rights mode then begin
     Protocol_lib.unpin rt e;
@@ -352,12 +352,10 @@ let inject_faults (rt : t) ?(retry = Rpc.default_retry) plan =
        instead of executing — freeze-and-resume crash semantics.  Fibers
        that are not Marcel threads (drivers, observers) keep running. *)
     Engine.set_gate (Runtime.engine rt) (fun fid now ->
-        match Marcel.node_of_fiber marcel fid with
-        | None -> None
-        | Some node ->
-            if Fault_plan.is_down plan ~node now then
-              Some (Fault_plan.up_at plan ~node ~now)
-            else None);
+        let node = Marcel.node_of_fiber marcel fid in
+        if node >= 0 && Fault_plan.is_down plan ~node now then
+          Some (Fault_plan.up_at plan ~node ~now)
+        else None);
     Rpc.set_retry (Runtime.rpc rt) ~seed:(Fault_plan.seed plan) (Some retry);
     (* Make the crash windows first-class in the trace: a Crash event when
        each window opens (carrying its scheduled end) and a Restart when it

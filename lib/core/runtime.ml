@@ -66,6 +66,9 @@ type t = {
   registry : t Protocol.registry;
   mutable default_protocol : int;
   costs : costs;
+  inline_check_us : float;
+      (* [costs.inline_check_us], held boxed in this mixed record: a java_ic
+         hit passes it to [Marcel.charge] without boxing a float *)
   instr : Stats.t;
   metrics : Metrics.t;
   instr_h : Instrument.handles;
@@ -112,6 +115,7 @@ let create ?(costs = default_costs) pm2 =
     registry = Protocol.create_registry ();
     default_protocol = 0;
     costs;
+    inline_check_us = costs.inline_check_us;
     instr;
     metrics;
     instr_h = Instrument.intern instr metrics ~nodes:n;

@@ -78,6 +78,9 @@ type t = {
   registry : t Protocol.registry;
   mutable default_protocol : int;
   costs : costs;
+  inline_check_us : float;
+      (** [costs.inline_check_us], held boxed (this record is mixed), so a
+          java_ic hit passes it to [Marcel.charge] without allocating *)
   instr : Stats.t;
   metrics : Metrics.t;
       (** labeled (per-node, per-protocol) counters and latency histograms *)

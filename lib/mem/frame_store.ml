@@ -47,10 +47,19 @@ let install_owned t page data =
   t.last_page <- page;
   t.last_frame <- data
 
+(* Over an existing frame the data is blitted in place: a fresh 4 KiB copy
+   would go straight to the major heap.  No caller holds a frame across an
+   install expecting the old contents (they copy out what they keep), and
+   [data] may be that very frame: blitting a frame onto itself is a no-op. *)
 let install t page data =
   if Bytes.length data <> Page.size t.geo then
     invalid_arg "Frame_store.install: wrong page length";
-  install_owned t page (Bytes.copy data)
+  match if t.last_page = page then t.last_frame else Hashtbl.find t.frames page with
+  | frame ->
+      Bytes.blit data 0 frame 0 (Bytes.length data);
+      t.last_page <- page;
+      t.last_frame <- frame
+  | exception Not_found -> install_owned t page (Bytes.copy data)
 
 let drop t page =
   Hashtbl.remove t.frames page;

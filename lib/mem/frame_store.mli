@@ -20,8 +20,10 @@ val peek : t -> int -> bytes option
 (** The frame if present, without creating it. *)
 
 val install : t -> int -> bytes -> unit
-(** Replaces (or creates) the frame with a copy of [bytes] (which must have
-    page length).  Use when the caller keeps or may mutate [bytes]. *)
+(** Sets the frame's contents to a copy of [bytes] (which must have page
+    length).  An existing frame is overwritten in place, so a reference to it
+    taken earlier sees the new contents; a missing one is created.  The frame
+    never aliases [bytes]: use when the caller keeps or may mutate it. *)
 
 val install_owned : t -> int -> bytes -> unit
 (** Ownership-transferring install: the store adopts [bytes] as the frame

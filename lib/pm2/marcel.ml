@@ -2,13 +2,17 @@ open Dsmpm2_sim
 
 let descriptor_bytes = 256
 
+type pending = { mutable us : float }
+
 type thread = {
   tid : int;
   mutable node : int;
   mutable stack_bytes : int;
   mutable attached_bytes : int;
   mutable alive : bool;
-  mutable pending_us : float;
+  pending : pending;
+      (* lazily charged CPU work, in an all-float record so that adding to
+         it stores the sum unboxed *)
   mutable joiners : (unit -> unit) list;
   migratable : bool;
   mutable requested_node : int option;
@@ -20,9 +24,11 @@ type t = {
   cpus : Cpu.t array;
   mutable next_tid : int;
   by_fiber : (int, thread) Hashtbl.t;
-  (* One-entry cache over [by_fiber]: a thread asks for itself on every
-     shared access.  Threads are never removed from [by_fiber], so the
-     cached one cannot go stale.  [last_fid = -1] means empty. *)
+  (* Holds the live threads only: a thread leaves it when its body ends,
+     so the table (and [live_threads]) is O(live), not O(ever spawned).
+     One-entry cache over [by_fiber]: a thread asks for itself on every
+     shared access.  Reaping a thread clears the cache if it holds it, so
+     the cached one cannot go stale.  [last_fid = -1] means empty. *)
   mutable last_fid : int;
   mutable last_thread : thread;
 }
@@ -30,11 +36,11 @@ type t = {
 let no_thread =
   {
     tid = -1;
-    node = 0;
+    node = -1;
     stack_bytes = 0;
     attached_bytes = 0;
     alive = false;
-    pending_us = 0.;
+    pending = { us = 0. };
     joiners = [];
     migratable = false;
     requested_node = None;
@@ -81,11 +87,8 @@ let self t =
   if th == no_thread then failwith "Marcel.self: not running inside a Marcel thread";
   th
 
-let node_of_fiber t fid =
-  Option.map (fun th -> th.node) (Hashtbl.find_opt t.by_fiber fid)
-
-let tid_of_fiber t fid =
-  Option.map (fun th -> th.tid) (Hashtbl.find_opt t.by_fiber fid)
+let node_of_fiber t fid = (thread_of_fiber t fid).node
+let tid_of_fiber t fid = (thread_of_fiber t fid).tid
 
 let tid th = th.tid
 let node th = th.node
@@ -93,6 +96,8 @@ let is_migratable th = th.migratable
 let request_move th ~dst = if th.migratable then th.requested_node <- Some dst
 let pending_move th = th.requested_node
 let clear_move th = th.requested_node <- None
+
+let thread_count t = Hashtbl.length t.by_fiber
 
 let live_threads t ~node =
   Hashtbl.fold
@@ -105,6 +110,30 @@ let set_attached_bytes th n = th.attached_bytes <- n
 let footprint_bytes th = th.stack_bytes + descriptor_bytes + th.attached_bytes
 let is_alive th = th.alive
 
+(* The end of every thread body, normal or raising.  Pay any outstanding
+   lazily-charged CPU work before dying so accounting is complete (while the
+   thread is still registered: the fault gate maps this fiber to its node if
+   the payment suspends), then reap the thread and wake the joiners.  From
+   the reap on, the fiber reads as "no thread". *)
+let finish t th =
+  (if th.pending.us > 0. then begin
+     let us = th.pending.us in
+     th.pending.us <- 0.;
+     Cpu.compute t.eng t.cpus.(th.node) (Time.of_us us)
+   end);
+  th.alive <- false;
+  (match Engine.current_fiber t.eng with
+  | None -> ()
+  | Some fid ->
+      Hashtbl.remove t.by_fiber fid;
+      if t.last_fid = fid then begin
+        t.last_fid <- -1;
+        t.last_thread <- no_thread
+      end);
+  let joiners = th.joiners in
+  th.joiners <- [];
+  List.iter (fun resume -> resume ()) joiners
+
 let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~node f =
   if node < 0 || node >= Array.length t.cpus then
     invalid_arg "Marcel.spawn: node out of range";
@@ -115,7 +144,7 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
       stack_bytes;
       attached_bytes;
       alive = true;
-      pending_us = 0.;
+      pending = { us = 0. };
       joiners = [];
       migratable;
       requested_node = None;
@@ -124,20 +153,12 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
   t.next_tid <- t.next_tid + 1;
   let fid =
     Engine.spawn t.eng (fun () ->
-        Fun.protect
-          ~finally:(fun () ->
-            (* Pay any outstanding lazily-charged CPU work before dying so
-               accounting is complete, then wake the joiners. *)
-            (if th.pending_us > 0. then begin
-               let us = th.pending_us in
-               th.pending_us <- 0.;
-               Cpu.compute t.eng t.cpus.(th.node) (Time.of_us us)
-             end);
-            th.alive <- false;
-            let joiners = th.joiners in
-            th.joiners <- [];
-            List.iter (fun resume -> resume ()) joiners)
-          f)
+        match f () with
+        | () -> finish t th
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            finish t th;
+            Printexc.raise_with_backtrace e bt)
   in
   Hashtbl.replace t.by_fiber fid th;
   th
@@ -151,29 +172,31 @@ let yield t = Engine.suspend t.eng (fun resume -> resume ())
 let compute t us =
   if us < 0. then invalid_arg "Marcel.compute: negative duration";
   let th = self t in
-  let total = us +. th.pending_us in
-  th.pending_us <- 0.;
+  let total = us +. th.pending.us in
+  th.pending.us <- 0.;
   if total > 0. then Cpu.compute t.eng t.cpus.(th.node) (Time.of_us total)
 
+(* The sum is stored unboxed in [th.pending]: a charge of an already boxed
+   [us] allocates nothing. *)
 let charge t us =
   if us < 0. then invalid_arg "Marcel.charge: negative duration";
   let th = self t in
-  th.pending_us <- th.pending_us +. us
+  th.pending.us <- th.pending.us +. us
 
 let flush_charges t =
   match self_opt t with
   | None -> ()
   | Some th ->
-      if th.pending_us > 0. then begin
-        let us = th.pending_us in
-        th.pending_us <- 0.;
+      if th.pending.us > 0. then begin
+        let us = th.pending.us in
+        th.pending.us <- 0.;
         Cpu.compute t.eng t.cpus.(th.node) (Time.of_us us)
       end
 
 let set_node t th node =
   if node < 0 || node >= Array.length t.cpus then
     invalid_arg "Marcel.set_node: node out of range";
-  if th.pending_us > 0. then
+  if th.pending.us > 0. then
     invalid_arg "Marcel.set_node: thread has unflushed CPU charges";
   th.node <- node
 

@@ -43,18 +43,19 @@ val self : t -> thread
 
 val self_opt : t -> thread option
 
-val node_of_fiber : t -> int -> int option
+val node_of_fiber : t -> int -> int
 (** The hosting node of the Marcel thread running on engine fiber [fid], or
-    [None] for fibers that are not Marcel threads.  This is the fault
-    injector's fiber -> node map ({!Dsmpm2_sim.Engine.set_gate}): the gate is
-    consulted at event execution time, by which point [spawn] has registered
-    the mapping. *)
+    [-1] for fibers that are not Marcel threads and for threads that have
+    finished.  This is the fault injector's fiber -> node map
+    ({!Dsmpm2_sim.Engine.set_gate}): the gate is consulted at event
+    execution time, by which point [spawn] has registered the mapping.
+    Allocation-free: it goes through the same one-entry cache as [self]. *)
 
-val tid_of_fiber : t -> int -> int option
-(** The tid of the Marcel thread running on engine fiber [fid], or [None]
-    for fibers that are not Marcel threads.  The PM2 layer composes this
-    with [Trace.thread_span] so the network can attribute a dropped message
-    to the operation of whoever is sending. *)
+val tid_of_fiber : t -> int -> int
+(** The tid of the Marcel thread running on engine fiber [fid], or [-1] for
+    fibers that are not (or no longer) Marcel threads.  The PM2 layer
+    composes this with [Trace.thread_span] so the network can attribute a
+    dropped message to the operation of whoever is sending. *)
 
 val tid : thread -> int
 val node : thread -> int
@@ -77,10 +78,15 @@ val pending_move : thread -> int option
 val clear_move : thread -> unit
 
 val live_threads : t -> node:int -> thread list
-(** The live threads currently hosted by [node], by ascending tid. *)
+(** The live threads currently hosted by [node], by ascending tid.  Costs
+    O(live threads): a thread is forgotten when its body ends. *)
+
+val thread_count : t -> int
+(** The threads Marcel still tracks: those spawned and not yet finished. *)
 
 val join : t -> thread -> unit
-(** Blocks the calling thread until [thread] terminates. *)
+(** Blocks the calling thread until [thread] terminates; returns at once if
+    it already has. *)
 
 val yield : t -> unit
 (** Relinquishes control; the thread is rescheduled at the current time. *)

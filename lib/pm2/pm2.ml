@@ -25,10 +25,9 @@ let create ?tie_seed ?jitter ?(page_size = 4096) ~nodes ~driver () =
   Network.set_trace net pm2_trace ~span:(fun () ->
       match Engine.current_fiber eng with
       | None -> Trace.no_span
-      | Some fid -> (
-          match Marcel.tid_of_fiber marcel fid with
-          | None -> Trace.no_span
-          | Some tid -> Trace.thread_span pm2_trace ~tid));
+      | Some fid ->
+          let tid = Marcel.tid_of_fiber marcel fid in
+          if tid < 0 then Trace.no_span else Trace.thread_span pm2_trace ~tid);
   Rpc.set_trace rpc pm2_trace;
   {
     eng;

@@ -327,7 +327,7 @@ let on_page_init rt ~node ~page =
   let home = e.Page_table.home in
   if node <> home then
     Frame_store.install (Runtime.store rt node) page
-      (Bytes.copy (Frame_store.frame (Runtime.store rt home) page));
+      (Frame_store.frame (Runtime.store rt home) page);
   e.Page_table.ext <- Abd_tag { ts = 1; origin = home }
 
 let unused_server _ ~node:_ ~page:_ ~requester:_ =

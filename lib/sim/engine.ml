@@ -16,6 +16,8 @@ type t = {
       (* fault injection: consulted at execution time before each fiber
          slice; [Some until] parks the slice until that instant *)
   mutable parked : int;
+  mutable handler : (unit, unit) Effect.Deep.handler;
+      (* the one Suspend handler, built by [create] over this engine *)
 }
 
 exception Stalled of int
@@ -28,21 +30,6 @@ let cmp_event a b =
   else
     let c = compare a.tie b.tie in
     if c <> 0 then c else compare a.seq b.seq
-
-let create ?tie_seed () =
-  {
-    clock = Time.zero;
-    queue = Heap.create ~cmp:cmp_event;
-    seq = 0;
-    live = 0;
-    executed = 0;
-    next_fiber = 0;
-    current = None;
-    tie_rng = Option.map (fun seed -> Rng.create ~seed) tie_seed;
-    tie_seed;
-    gate = None;
-    parked = 0;
-  }
 
 let now t = t.clock
 let live_fibers t = t.live
@@ -70,27 +57,6 @@ let set_gate t g = t.gate <- Some g
 let clear_gate t = t.gate <- None
 let parked_count t = t.parked
 
-(* Wraps a fiber slice (body start or resumed continuation) so the gate is
-   consulted at *execution* time, when the fiber's host node is known to
-   whoever installed the gate.  On [None] the slice runs untouched — the
-   no-fault path costs one option match and draws nothing, so an installed
-   but empty plan is bit-for-bit schedule-neutral.  On [Some until] the
-   slice is re-scheduled at [until] (and re-checked there, in case windows
-   chain), which is exactly "fibers on a crashed node are parked and
-   respawned on restart". *)
-let rec gated t fid action () =
-  match t.gate with
-  | None -> action ()
-  | Some g -> (
-      match g fid t.clock with
-      | None -> action ()
-      | Some until ->
-          t.parked <- t.parked + 1;
-          let until =
-            if until <= t.clock then Time.(t.clock + Time.of_ns 1) else until
-          in
-          at t until (gated t fid action))
-
 (* Observer events: scheduled with the maximal tie key and without drawing
    from the perturbation RNG, so they run after every same-time workload
    event and attaching them leaves a seeded schedule bit-for-bit intact
@@ -114,71 +80,125 @@ let periodic t ~interval tick =
 
 let pending_events t = Heap.length t.queue
 
-(* Runs a slice of fiber [fid]'s code (its body or a resumed continuation)
+(* Runs a slice of fiber [cur]'s code (its body or a resumed continuation)
    with [current] set for the duration, so that thread packages built on top
-   can implement "self". *)
-let in_fiber t fid f =
+   can implement "self".  [cur] is the fiber's own [Some fid], allocated
+   once at [spawn] and handed from slice to slice, so a dispatch allocates
+   no option; the restore is a plain match, not a [Fun.protect] closure.
+   The slice is [f x], not a thunk, so that a resume can pass a static [f]
+   and its continuation instead of building a closure over it. *)
+let in_fiber t cur f x =
   let prev = t.current in
-  t.current <- Some fid;
-  Fun.protect ~finally:(fun () -> t.current <- prev) f
+  t.current <- cur;
+  match f x with
+  | () -> t.current <- prev
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.current <- prev;
+      Printexc.raise_with_backtrace e bt
 
-(* Runs [f] as the body of fiber [fid] under the Suspend handler.  The fiber
-   accounting ([live]) brackets the whole fiber lifetime: a suspended fiber
-   remains live until its continuation eventually terminates. *)
-let start_fiber t fid f =
+let fid_of = function Some fid -> fid | None -> assert false
+
+(* The fault gate, wrapped around a fiber slice so that it is consulted at
+   *execution* time, when the fiber's host node is known to whoever
+   installed the gate.  On [None] the slice runs untouched — the no-fault
+   path costs one option match and draws nothing, so an installed but empty
+   plan is bit-for-bit schedule-neutral.  On [Some until] the slice is
+   re-scheduled at [until] (and re-checked there, in case windows chain),
+   which is exactly "fibers on a crashed node are parked and respawned on
+   restart". *)
+let rec slice t cur f x () =
+  match t.gate with
+  | None -> in_fiber t cur f x
+  | Some g -> (
+      match g (fid_of cur) t.clock with
+      | None -> in_fiber t cur f x
+      | Some until ->
+          t.parked <- t.parked + 1;
+          let until =
+            if until <= t.clock then Time.(t.clock + Time.of_ns 1) else until
+          in
+          at t until (slice t cur f x))
+
+let continue_unit k = Effect.Deep.continue k ()
+
+(* The one Suspend handler of the engine.  Effects are handled on the stack
+   that ran the slice, inside its [in_fiber], so the suspending fiber is
+   [t.current]: nothing in the handler is per fiber.  The fiber accounting
+   ([live]) brackets the whole fiber lifetime: a suspended fiber remains
+   live until its continuation eventually terminates. *)
+let make_handler t =
   let open Effect.Deep in
-  let handler =
+  {
+    retc = (fun () -> t.live <- t.live - 1);
+    exnc =
+      (fun e ->
+        t.live <- t.live - 1;
+        raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Suspend register ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                let cur = t.current in
+                let resumed = ref false in
+                let resume () =
+                  if !resumed then invalid_arg "Engine: fiber resumed twice";
+                  resumed := true;
+                  at t t.clock (slice t cur continue_unit k)
+                in
+                register resume)
+        | _ -> None);
+  }
+
+let create ?tie_seed () =
+  let t =
     {
-      retc = (fun () -> t.live <- t.live - 1);
-      exnc =
-        (fun e ->
-          t.live <- t.live - 1;
-          raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let resumed = ref false in
-                  let resume () =
-                    if !resumed then invalid_arg "Engine: fiber resumed twice";
-                    resumed := true;
-                    at t t.clock
-                      (gated t fid (fun () ->
-                           in_fiber t fid (fun () -> continue k ())))
-                  in
-                  register resume)
-          | _ -> None);
+      clock = Time.zero;
+      queue = Heap.create ~cmp:cmp_event;
+      seq = 0;
+      live = 0;
+      executed = 0;
+      next_fiber = 0;
+      current = None;
+      tie_rng = Option.map (fun seed -> Rng.create ~seed) tie_seed;
+      tie_seed;
+      gate = None;
+      parked = 0;
+      handler = { retc = Fun.id; exnc = raise; effc = (fun _ -> None) };
     }
   in
-  in_fiber t fid (fun () -> match_with f () handler)
+  t.handler <- make_handler t;
+  t
 
 let spawn t f =
   let fid = t.next_fiber in
   t.next_fiber <- fid + 1;
   t.live <- t.live + 1;
-  after t Time.zero (gated t fid (fun () -> start_fiber t fid f));
+  after t Time.zero
+    (slice t (Some fid) (fun f -> Effect.Deep.match_with f () t.handler) f);
   fid
 
 let suspend _t register = Effect.perform (Suspend register)
 let sleep t dt = suspend t (fun resume -> after t dt resume)
 
+(* The dispatch loop reads the queue through [Heap.top]/[remove_top], so an
+   event costs no option. *)
 let run ?limit t =
   let continue_ = ref true in
   while !continue_ do
-    match Heap.peek t.queue with
-    | None ->
-        if t.live > 0 then raise (Stalled t.live);
-        continue_ := false
-    | Some ev ->
-        (match limit with
-        | Some l when ev.time > l -> continue_ := false
-        | Some _ | None ->
-            (match Heap.pop t.queue with
-            | None -> assert false
-            | Some ev ->
-                t.clock <- ev.time;
-                t.executed <- t.executed + 1;
-                ev.action ()))
+    if Heap.is_empty t.queue then begin
+      if t.live > 0 then raise (Stalled t.live);
+      continue_ := false
+    end
+    else
+      let ev = Heap.top t.queue in
+      match limit with
+      | Some l when ev.time > l -> continue_ := false
+      | Some _ | None ->
+          Heap.remove_top t.queue;
+          t.clock <- ev.time;
+          t.executed <- t.executed + 1;
+          ev.action ()
   done

@@ -48,15 +48,23 @@ let add h x =
 
 let peek h = if h.size = 0 then None else Some h.data.(0)
 
+let top h =
+  if h.size = 0 then invalid_arg "Heap.top: empty heap";
+  h.data.(0)
+
+let remove_top h =
+  if h.size = 0 then invalid_arg "Heap.remove_top: empty heap";
+  h.size <- h.size - 1;
+  if h.size > 0 then begin
+    h.data.(0) <- h.data.(h.size);
+    sift_down h 0
+  end
+
 let pop h =
   if h.size = 0 then None
   else begin
     let top = h.data.(0) in
-    h.size <- h.size - 1;
-    if h.size > 0 then begin
-      h.data.(0) <- h.data.(h.size);
-      sift_down h 0
-    end;
+    remove_top h;
     Some top
   end
 

@@ -15,4 +15,12 @@ val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
 (** Removes and returns the minimum element. *)
 
+val top : 'a t -> 'a
+(** The minimum element, without the option [peek] allocates.  Raises
+    [Invalid_argument] on an empty heap. *)
+
+val remove_top : 'a t -> unit
+(** Removes the minimum element.  Raises [Invalid_argument] on an empty
+    heap. *)
+
 val clear : 'a t -> unit

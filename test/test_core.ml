@@ -533,6 +533,7 @@ let test_hit_path_allocates_nothing () =
       ("li_hudak", ids.Builtin.li_hudak);
       ("hbrc_mw", ids.Builtin.hbrc_mw);
       ("java_pf", ids.Builtin.java_pf);
+      ("java_ic", ids.Builtin.java_ic);
     ]
 
 (* The (fiber -> thread) cache holds the thread, not its node: after

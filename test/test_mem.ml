@@ -107,6 +107,38 @@ let test_frame_store_cache_tracks_drop_and_install () =
   | Some f -> Alcotest.(check int64) "peek sees install" 99L (Bytes.get_int64_le f 0)
   | None -> Alcotest.fail "frame missing after install")
 
+(* An install over an existing frame overwrites it in place: the contents
+   equal the data without aliasing it, a reference taken before the install
+   sees the new contents, and the one-entry cache serves them whether or not
+   it held the page. *)
+let test_frame_store_install_in_place () =
+  let fs = Frame_store.create ~geometry:geo in
+  Frame_store.write_int fs ~addr:(5 * 4096) 1;
+  let before = Frame_store.frame fs 5 in
+  (* Page 6 becomes the cached entry, so this install goes through the
+     table and takes the cache over. *)
+  Frame_store.write_int fs ~addr:(6 * 4096) 2;
+  let data = Bytes.make 4096 '\007' in
+  Bytes.set_int64_le data 8 41L;
+  Frame_store.install fs 5 data;
+  Alcotest.(check bool) "contents equal the data" true (Bytes.equal (Frame_store.frame fs 5) data);
+  Alcotest.(check bool) "same frame, overwritten" true (Frame_store.frame fs 5 == before);
+  Alcotest.(check bool) "data not aliased" false (Frame_store.frame fs 5 == data);
+  Bytes.set_int64_le data 8 0L;
+  Alcotest.(check int) "source mutation does not leak" 41
+    (Frame_store.read_int fs ~addr:((5 * 4096) + 8));
+  (* Page 5 is now the cached entry: an install over it must be served by
+     the cache too. *)
+  Bytes.set_int64_le data 16 43L;
+  Frame_store.install fs 5 data;
+  Alcotest.(check int) "cache serves the install" 43
+    (Frame_store.read_int fs ~addr:((5 * 4096) + 16));
+  Alcotest.(check int) "page 6 untouched" 2 (Frame_store.read_int fs ~addr:(6 * 4096));
+  (* A frame installed onto itself keeps its contents. *)
+  Frame_store.install fs 5 (Frame_store.frame fs 5);
+  Alcotest.(check int) "self install" 43 (Frame_store.read_int fs ~addr:((5 * 4096) + 16));
+  Alcotest.(check int) "two frames" 2 (Frame_store.frame_count fs)
+
 (* --- Diff --- *)
 
 let test_diff_compute_apply_roundtrip () =
@@ -304,6 +336,7 @@ let () =
           Alcotest.test_case "install size checked" `Quick test_frame_store_install_wrong_size;
           Alcotest.test_case "install_owned adopts" `Quick
             test_frame_store_install_owned_adopts;
+          Alcotest.test_case "install in place" `Quick test_frame_store_install_in_place;
           Alcotest.test_case "hot-page cache coherent" `Quick
             test_frame_store_cache_tracks_drop_and_install;
         ] );

@@ -62,6 +62,99 @@ let test_pending_charges_paid_at_exit () =
   Alcotest.check us "CPU busy for the charged work" 75.
     (Time.to_us (Cpu.busy_time (Marcel.cpu (Pm2.marcel pm2) 0)))
 
+(* A finished thread is reaped: the fiber table holds the live threads
+   only, however many were ever spawned. *)
+let test_finished_threads_reaped () =
+  let pm2 = Pm2.create ~nodes:2 ~driver:Driver.bip_myrinet () in
+  let marcel = Pm2.marcel pm2 in
+  let during = ref (-1) and ran = ref 0 in
+  ignore
+    (Pm2.spawn pm2 ~node:0 (fun () ->
+         for i = 1 to 10_000 do
+           let th = Pm2.spawn pm2 ~node:(i land 1) (fun () -> incr ran) in
+           Marcel.join marcel th
+         done;
+         during := Marcel.thread_count marcel));
+  Pm2.run pm2;
+  Alcotest.(check int) "every child ran" 10_000 !ran;
+  Alcotest.(check int) "only the driver left after 10k cycles" 1 !during;
+  Alcotest.(check int) "none left" 0 (Marcel.thread_count marcel);
+  Alcotest.(check (list int)) "no live threads" []
+    (List.map Marcel.tid (Marcel.live_threads marcel ~node:0))
+
+(* A thread that finishes while it is the cached [self] reads as "no
+   thread" afterwards, and a later thread is not mistaken for it. *)
+let test_reaped_thread_leaves_cache () =
+  let pm2 = Pm2.create ~nodes:2 ~driver:Driver.bip_myrinet () in
+  let marcel = Pm2.marcel pm2 in
+  let eng = Pm2.engine pm2 in
+  let fid_a = ref (-1) in
+  let a =
+    Pm2.spawn pm2 ~node:1 (fun () ->
+        fid_a := Option.get (Engine.current_fiber eng);
+        (* Caches A as self. *)
+        ignore (Marcel.self marcel))
+  in
+  Pm2.run pm2;
+  Alcotest.(check bool) "A finished" false (Marcel.is_alive a);
+  Alcotest.(check int) "A's fiber has no node" (-1) (Marcel.node_of_fiber marcel !fid_a);
+  Alcotest.(check int) "A's fiber has no tid" (-1) (Marcel.tid_of_fiber marcel !fid_a);
+  let seen = ref [] in
+  let b =
+    Pm2.spawn pm2 ~node:0 (fun () ->
+        let self = Marcel.self marcel in
+        let fid_b = Option.get (Engine.current_fiber eng) in
+        seen :=
+          [
+            Marcel.tid self;
+            Marcel.node self;
+            Marcel.tid_of_fiber marcel fid_b;
+            Marcel.node_of_fiber marcel fid_b;
+            Marcel.node_of_fiber marcel !fid_a;
+          ])
+  in
+  Pm2.run pm2;
+  Alcotest.(check (list int)) "self is B, A stays gone"
+    [ Marcel.tid b; 0; Marcel.tid b; 0; -1 ]
+    !seen
+
+(* [join] on a thread that has already been reaped returns at once. *)
+let test_join_reaped_returns_at_once () =
+  let pm2 = Pm2.create ~nodes:1 ~driver:Driver.bip_myrinet () in
+  let marcel = Pm2.marcel pm2 in
+  let short = Pm2.spawn pm2 ~node:0 (fun () -> ()) in
+  let times = ref [] in
+  ignore
+    (Pm2.spawn pm2 ~node:0 (fun () ->
+         Marcel.compute marcel 10.;
+         let before = Pm2.now_us pm2 in
+         Marcel.join marcel short;
+         times := [ before; Pm2.now_us pm2 ]));
+  Pm2.run pm2;
+  Alcotest.(check bool) "short finished" false (Marcel.is_alive short);
+  Alcotest.(check (list us)) "join did not wait" [ 10.; 10. ] !times
+
+(* A body that raises still finishes the thread: it is marked dead, its
+   joiners are woken, and the exception reaches the caller of [run]. *)
+let test_raising_body_wakes_joiners () =
+  let pm2 = Pm2.create ~nodes:1 ~driver:Driver.bip_myrinet () in
+  let marcel = Pm2.marcel pm2 in
+  let failing =
+    Pm2.spawn pm2 ~node:0 (fun () ->
+        Marcel.compute marcel 5.;
+        raise Exit)
+  in
+  let joined_at = ref (-1.) in
+  ignore
+    (Pm2.spawn pm2 ~node:0 (fun () ->
+         Marcel.join marcel failing;
+         joined_at := Pm2.now_us pm2));
+  Alcotest.check_raises "re-raised" Exit (fun () -> Pm2.run pm2);
+  Alcotest.(check bool) "marked dead" false (Marcel.is_alive failing);
+  Pm2.run pm2;
+  Alcotest.check us "joiner woken" 5. !joined_at;
+  Alcotest.(check int) "both reaped" 0 (Marcel.thread_count marcel)
+
 let test_mutex_mutual_exclusion () =
   let pm2 = Pm2.create ~nodes:1 ~driver:Driver.bip_myrinet () in
   let marcel = Pm2.marcel pm2 in
@@ -510,6 +603,13 @@ let () =
           Alcotest.test_case "charge accounting" `Quick test_charge_then_compute_accounts;
           Alcotest.test_case "charges paid at exit" `Quick
             test_pending_charges_paid_at_exit;
+          Alcotest.test_case "finished threads reaped" `Quick test_finished_threads_reaped;
+          Alcotest.test_case "reaped thread leaves cache" `Quick
+            test_reaped_thread_leaves_cache;
+          Alcotest.test_case "join reaped returns at once" `Quick
+            test_join_reaped_returns_at_once;
+          Alcotest.test_case "raising body wakes joiners" `Quick
+            test_raising_body_wakes_joiners;
           Alcotest.test_case "mutex exclusion" `Quick test_mutex_mutual_exclusion;
           Alcotest.test_case "trylock" `Quick test_mutex_trylock;
           Alcotest.test_case "cond broadcast" `Quick test_cond_signal_and_broadcast;

@@ -21,8 +21,16 @@ let test_heap_basic () =
   Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
   Alcotest.(check (option int)) "pop min" (Some 1) (Heap.pop h);
   Alcotest.(check (option int)) "next" (Some 2) (Heap.pop h);
+  Alcotest.(check int) "top" 3 (Heap.top h);
+  Heap.remove_top h;
+  Alcotest.(check int) "top after remove" 5 (Heap.top h);
+  Alcotest.(check int) "length after remove" 3 (Heap.length h);
   Heap.clear h;
-  Alcotest.(check (option int)) "cleared" None (Heap.pop h)
+  Alcotest.(check (option int)) "cleared" None (Heap.pop h);
+  Alcotest.check_raises "top of empty" (Invalid_argument "Heap.top: empty heap") (fun () ->
+      ignore (Heap.top h));
+  Alcotest.check_raises "remove_top of empty"
+    (Invalid_argument "Heap.remove_top: empty heap") (fun () -> Heap.remove_top h)
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
